@@ -59,6 +59,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    Any,
     AsyncIterator,
     Dict,
     Iterable,
@@ -426,28 +427,27 @@ checkpoint_every, checkpoint_policy:
     # ------------------------------------------------------------------ #
     # submission
     # ------------------------------------------------------------------ #
-    async def dispatch(
-        self, item: StreamItem, index: int = 0
-    ) -> "asyncio.Future[StreamResult]":
-        """Accept one stream element and return a future for its result.
-
-        Applies the backpressure policy *before* accepting: with a full
-        queue, ``"wait"`` suspends here and ``"reject"`` raises
-        :class:`ServerOverloadedError` (the job was never accepted).  The
-        returned future resolves to a :class:`JobResult` (count jobs) or
-        an :class:`UpdateReport` (updates); ``index`` is the position in
-        the caller's stream and fixes both result ordering and the derived
-        per-job seeds, exactly as in :meth:`SolverPool.run_stream`.
-        """
-        if not self._running or self._slots is None:
+    def _require_running(self) -> None:
+        if not self._running:
             raise ServerError("the server is not running; use 'async with server'")
-        name = item.database
+
+    async def _admit(self, name: str, op: str, *args: Any) -> "asyncio.Future[Any]":
+        """The one admission path: queue ``op`` for ``name`` on its owner.
+
+        Validates the name before taking a slot, applies the backpressure
+        policy, waits out an in-flight handoff of the name, queues
+        :meth:`Shard.call(op, *args) <repro.server.shards.Shard.call>` on
+        the owning shard, and opens the load accounting that
+        :meth:`_on_done` settles.  Returns the job's asyncio future.
+        """
+        self._require_running()
         self._owner_of(name)  # validate before taking a slot
         if self._policy == "reject" and self._slots.locked():
             self.rejected += 1
+            job = "range job" if op == "run_range" else "job"
             raise ServerOverloadedError(
                 f"queue full ({self._queue_limit} jobs in flight); "
-                f"job for {name!r} rejected"
+                f"{job} for {name!r} rejected"
             )
         await self._slots.acquire()
         try:
@@ -461,15 +461,7 @@ checkpoint_every, checkpoint_policy:
                     break
                 await gate.wait()
             shard = self._owner_of(name)
-            if isinstance(item, UpdateJob):
-                inner = shard.submit_update(index, item)
-            elif isinstance(item, CountJob):
-                inner = shard.submit_count(index, item)
-            else:
-                raise EngineError(
-                    f"stream items must be CountJob or UpdateJob, "
-                    f"got {type(item).__name__}"
-                )
+            inner = shard.call(op, *args)
         except BaseException:
             self._slots.release()
             raise
@@ -486,6 +478,56 @@ checkpoint_every, checkpoint_policy:
         self._outstanding[future] = (name, shard.shard_id)
         future.add_done_callback(self._on_done)
         return future
+
+    @staticmethod
+    def _queue(shard: Shard, *calls: Tuple[Any, ...]) -> "asyncio.Future[List[Any]]":
+        """Queue ``(op, *args)`` calls back to back on ``shard``'s FIFO.
+
+        Every call is submitted before this returns, so nothing queued
+        later can land between them; the future resolves to their results
+        in order.  Probes and handoff steps bypass admission: they take no
+        backpressure slot and open no load accounting.
+        """
+        return asyncio.gather(
+            *(asyncio.wrap_future(shard.call(*call)) for call in calls)
+        )
+
+    async def _on_owner(self, name: str, op: str, *args: Any) -> Any:
+        """Run one probe ``op(name, *args)`` on the shard owning ``name``."""
+        self._require_running()
+        (result,) = await self._queue(self._owner_of(name), (op, name, *args))
+        return result
+
+    async def _on_every_shard(self, *calls: Tuple[Any, ...]) -> List[List[Any]]:
+        """Run the same back-to-back calls on every shard; results per shard."""
+        self._require_running()
+        return await asyncio.gather(
+            *(self._queue(shard, *calls) for shard in self._shards)
+        )
+
+    async def dispatch(
+        self, item: StreamItem, index: int = 0
+    ) -> "asyncio.Future[StreamResult]":
+        """Accept one stream element and return a future for its result.
+
+        Applies the backpressure policy *before* accepting: with a full
+        queue, ``"wait"`` suspends here and ``"reject"`` raises
+        :class:`ServerOverloadedError` (the job was never accepted).  The
+        returned future resolves to a :class:`JobResult` (count jobs) or
+        an :class:`UpdateReport` (updates); ``index`` is the position in
+        the caller's stream and fixes both result ordering and the derived
+        per-job seeds, exactly as in :meth:`SolverPool.run_stream`.
+        """
+        if isinstance(item, UpdateJob):
+            op = "apply_delta"
+        elif isinstance(item, CountJob):
+            op = "run_job"
+        else:
+            raise EngineError(
+                f"stream items must be CountJob or UpdateJob, "
+                f"got {type(item).__name__}"
+            )
+        return await self._admit(item.database, op, item, index)
 
     async def run_range(
         self, job: CountJob, first_index: int = 0
@@ -508,46 +550,13 @@ checkpoint_every, checkpoint_policy:
         queue suspends the submitter under ``"wait"`` and raises
         :class:`~repro.errors.ServerOverloadedError` under ``"reject"``.
         """
-        if not self._running or self._slots is None:
-            raise ServerError("the server is not running; use 'async with server'")
+        self._require_running()
         if job.as_of_range is None:
             raise EngineError(
                 "run_range needs a job with as_of_range; "
                 "plain jobs go through dispatch/submit"
             )
-        name = job.database
-        self._owner_of(name)  # validate before taking a slot
-        if self._policy == "reject" and self._slots.locked():
-            self.rejected += 1
-            raise ServerOverloadedError(
-                f"queue full ({self._queue_limit} jobs in flight); "
-                f"range job for {name!r} rejected"
-            )
-        await self._slots.acquire()
-        try:
-            while True:
-                gate = self._moving.get(name)
-                if gate is None:
-                    break
-                await gate.wait()
-            shard = self._owner_of(name)
-            inner = shard.submit_range(first_index, job)
-        except BaseException:
-            self._slots.release()
-            raise
-        self.submitted += 1
-        self.in_flight += 1
-        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-        for load in (
-            self._shard_load.setdefault(shard.shard_id, self._new_load()),
-            self._name_load.setdefault(name, self._new_load()),
-        ):
-            load["dispatched"] += 1
-            load["in_flight"] += 1
-        future = asyncio.wrap_future(inner)
-        self._outstanding[future] = (name, shard.shard_id)
-        future.add_done_callback(self._on_done)
-        return await future
+        return await (await self._admit(job.database, "run_range", job, first_index))
 
     @staticmethod
     def _new_load() -> Dict[str, float]:
@@ -830,14 +839,15 @@ checkpoint_every, checkpoint_policy:
                 # Quiesce without consuming outcomes: the original
                 # dispatchers still own these futures' results/errors.
                 await asyncio.wait(pending)
-            database, keys, lineage = await asyncio.wrap_future(
-                source.submit_export(name)
+            (database, keys), lineage = await self._queue(
+                source, ("lookup", name), ("lineage", name)
             )
-            await asyncio.wrap_future(
-                destination.submit_handoff(name, database, keys, lineage)
+            destination.own(name, database, keys)
+            await self._queue(
+                destination, ("adopt_lineage", name, lineage), ("prime_handoff", name)
             )
             source.release(name)
-            await asyncio.wrap_future(source.submit_forget(name))
+            await self._queue(source, ("forget", name))
             self._owner[name] = destination
             self._routing_version += 1
             self.moves_completed += 1
@@ -936,10 +946,7 @@ checkpoint_every, checkpoint_policy:
         call — the server-side counterpart of
         :meth:`~repro.engine.SolverPool.lineage`.
         """
-        if not self._running:
-            raise ServerError("the server is not running; use 'async with server'")
-        shard = self._owner_of(name)
-        return await asyncio.wrap_future(shard.submit_history(name))
+        return await self._on_owner(name, "lineage")
 
     async def checkpoints(self, name: str) -> Tuple[CheckpointRecord, ...]:
         """The known compaction checkpoints of ``name``, oldest first.
@@ -949,10 +956,7 @@ checkpoint_every, checkpoint_policy:
         automatic ``checkpoint_every`` checkpoint those deltas cut —
         submitted before the call.
         """
-        if not self._running:
-            raise ServerError("the server is not running; use 'async with server'")
-        shard = self._owner_of(name)
-        return await asyncio.wrap_future(shard.submit_checkpoints(name))
+        return await self._on_owner(name, "checkpoints")
 
     async def checkpoint(self, name: str) -> Optional[CheckpointRecord]:
         """Cut an explicit compaction checkpoint of ``name`` on its shard.
@@ -961,10 +965,7 @@ checkpoint_every, checkpoint_policy:
         snapshot produced by the deltas submitted before the call.
         Returns the record, or ``None`` if the snapshot store refused it.
         """
-        if not self._running:
-            raise ServerError("the server is not running; use 'async with server'")
-        shard = self._owner_of(name)
-        return await asyncio.wrap_future(shard.submit_checkpoint(name))
+        return await self._on_owner(name, "checkpoint")
 
     async def rollback(
         self, name: str, ref: Union[str, int]
@@ -977,10 +978,7 @@ checkpoint_every, checkpoint_policy:
         ``ref`` is an ``as_of``-style reference: a recorded content digest
         (or unique >=8-character prefix) or a non-positive chain index.
         """
-        if not self._running:
-            raise ServerError("the server is not running; use 'async with server'")
-        shard = self._owner_of(name)
-        return await asyncio.wrap_future(shard.submit_rollback(name, ref))
+        return await self._on_owner(name, "rollback", ref)
 
     async def calibration(self) -> Dict[str, object]:
         """Per-shard conformal calibration state (the admin probe).
@@ -990,30 +988,25 @@ checkpoint_every, checkpoint_policy:
         plus its refine-to-exact queue counters; totals are aggregated
         parent-side.  Served by ``GET /calibration`` on the HTTP front.
         """
-        if not self._running:
-            raise ServerError("the server is not running; use 'async with server'")
-        probes = [
-            asyncio.wrap_future(shard.submit_calibration_stats())
-            for shard in self._shards
-        ]
-        shard_stats = await asyncio.gather(*probes)
+        probes = await self._on_every_shard(
+            ("calibration_stats",), ("pending_refinements",), ("refinements_completed",)
+        )
+        tables, pending, completed = zip(*probes)
         return {
             "shards": {
-                str(shard.shard_id): stats
-                for shard, stats in zip(self._shards, shard_stats)
+                str(shard.shard_id): {
+                    **stats,
+                    "pending_refinements": waiting,
+                    "refinements_completed": done,
+                }
+                for shard, (stats, waiting, done) in zip(self._shards, probes)
             },
             "totals": {
                 "observations": sum(
-                    int(stats.get("records", 0)) for stats in shard_stats
+                    int(stats.get("records", 0)) for stats in tables
                 ),
-                "pending_refinements": sum(
-                    int(stats.get("pending_refinements", 0))
-                    for stats in shard_stats
-                ),
-                "refinements_completed": sum(
-                    int(stats.get("refinements_completed", 0))
-                    for stats in shard_stats
-                ),
+                "pending_refinements": sum(pending),
+                "refinements_completed": sum(completed),
             },
         }
 
@@ -1026,18 +1019,13 @@ checkpoint_every, checkpoint_policy:
         jobs on the refined snapshots/queries are answered exactly from
         the shard's cache with zero sampling.
         """
-        if not self._running:
-            raise ServerError("the server is not running; use 'async with server'")
-        probes = [
-            asyncio.wrap_future(shard.submit_refine(limit))
-            for shard in self._shards
-        ]
-        reports = await asyncio.gather(*probes)
-        return {
-            "refined": sum(report["refined"] for report in reports),
-            "pending": sum(report["pending"] for report in reports),
-            "completed": sum(report["completed"] for report in reports),
-        }
+        probes = await self._on_every_shard(
+            ("drain_refinements", limit),
+            ("pending_refinements",),
+            ("refinements_completed",),
+        )
+        refined, pending, completed = map(sum, zip(*probes))
+        return {"refined": refined, "pending": pending, "completed": completed}
 
     async def calibrate_from(self, jobs: Iterable[CountJob]) -> Dict[str, int]:
         """Record calibration pairs from a held-out batch, shard-routed.
@@ -1047,22 +1035,19 @@ checkpoint_every, checkpoint_policy:
         conformal calibrator; exact jobs are skipped.  Returns aggregate
         ``{"pairs": ..., "skipped": ...}`` counts.
         """
-        if not self._running:
-            raise ServerError("the server is not running; use 'async with server'")
-        batches: Dict[int, List[CountJob]] = {}
+        self._require_running()
+        batches: Dict[Shard, List[CountJob]] = {}
         for job in jobs:
-            shard = self._owner_of(job.database)
-            batches.setdefault(shard.shard_id, []).append(job)
-        probes = [
-            asyncio.wrap_future(
-                self._shard_by_id(shard_id).submit_calibrate(batch)
+            batches.setdefault(self._owner_of(job.database), []).append(job)
+        reports = await asyncio.gather(
+            *(
+                self._queue(shard, ("calibrate_from", batch))
+                for shard, batch in batches.items()
             )
-            for shard_id, batch in batches.items()
-        ]
-        reports = await asyncio.gather(*probes)
+        )
         return {
-            "pairs": sum(report["pairs"] for report in reports),
-            "skipped": sum(report["skipped"] for report in reports),
+            "pairs": sum(report["pairs"] for (report,) in reports),
+            "skipped": sum(report["skipped"] for (report,) in reports),
         }
 
     async def stats(self) -> Dict[str, object]:
@@ -1080,12 +1065,12 @@ checkpoint_every, checkpoint_policy:
         probe is itself a queued job, so the numbers reflect every job
         submitted before the call.
         """
-        if not self._running:
-            raise ServerError("the server is not running; use 'async with server'")
-        probes = [
-            asyncio.wrap_future(shard.submit_stats()) for shard in self._shards
-        ]
-        shard_stats = await asyncio.gather(*probes)
+        probes = await self._on_every_shard(
+            ("cache_stats",),
+            ("selector_recomputations",),
+            ("decomposition_recomputations",),
+            ("database_names",),
+        )
         snapshot = self.load_snapshot()
         shard_loads = {load.shard: load for load in snapshot.shards}
         return {
@@ -1110,9 +1095,14 @@ checkpoint_every, checkpoint_policy:
                     "in_flight": shard_loads[shard.shard_id].in_flight,
                     "queue_depth": shard_loads[shard.shard_id].queue_depth,
                     "busy_time": shard_loads[shard.shard_id].busy_time,
-                    **stats,
+                    "cache": cache,
+                    "selector_recomputations": selectors,
+                    "decomposition_recomputations": decompositions,
+                    "databases": list(names),
                 }
-                for shard, stats in zip(self._shards, shard_stats)
+                for shard, (cache, selectors, decompositions, names) in zip(
+                    self._shards, probes
+                )
             },
             "names": {
                 load.name: {
@@ -1154,15 +1144,7 @@ checkpoint_every, checkpoint_policy:
 def serve_stream(
     databases: Dict[str, Tuple[Database, PrimaryKeySet]],
     items: Iterable[StreamItem],
-    shards: int = 2,
-    queue_limit: int = 64,
-    policy: str = "wait",
-    persist_dir: Optional[Union[str, Path]] = None,
-    persist_max_entries: Optional[int] = None,
-    persist_max_age: Optional[float] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_policy: Optional[CheckpointPolicy] = None,
-    persist_max_bytes: Optional[int] = None,
+    **server_options: Any,
 ) -> BatchReport:
     """Serve one stream through a temporary :class:`AsyncServer`.
 
@@ -1170,6 +1152,7 @@ def serve_stream(
     that do not run their own event loop): registers ``databases``,
     starts the server, runs the stream, stops the server.  The report is
     bit-identical to ``SolverPool.run_stream`` on the same stream.
+    ``server_options`` are :class:`AsyncServer` constructor arguments.
 
     >>> from repro.db import Database, PrimaryKeySet, fact
     >>> from repro.engine import CountJob
@@ -1185,17 +1168,7 @@ def serve_stream(
     """
 
     async def _run() -> BatchReport:
-        server = AsyncServer(
-            shards=shards,
-            queue_limit=queue_limit,
-            policy=policy,
-            persist_dir=persist_dir,
-            persist_max_entries=persist_max_entries,
-            persist_max_age=persist_max_age,
-            checkpoint_every=checkpoint_every,
-            checkpoint_policy=checkpoint_policy,
-            persist_max_bytes=persist_max_bytes,
-        )
+        server = AsyncServer(**server_options)
         for name, (database, keys) in databases.items():
             server.register(name, database, keys)
         async with server:

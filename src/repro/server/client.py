@@ -138,7 +138,7 @@ class ServeClient:
 
         Applies the retry budget to 429/503 answers and to connection
         failures that strike before the request was written.  The reader
-        is returned alongside the response so :meth:`stream` can keep
+        is returned alongside the response so :meth:`_lines` can keep
         consuming a chunked body.
         """
         delay = self.backoff
@@ -207,6 +207,36 @@ class ServeClient:
                 )
             return document
 
+    async def _lines(
+        self, target: str, body: bytes
+    ) -> AsyncIterator[Dict[str, object]]:
+        """``POST`` ``body`` and yield the chunked JSON-lines answer.
+
+        The one reader behind :meth:`stream` and :meth:`range`: documents
+        are yielded as chunks arrive, the ``{"end": …}`` summary lands in
+        :attr:`last_stream_summary`, and a stream that dies before it
+        raises :class:`WireError`.
+        """
+        async with self._lock:
+            response, reader = await self._exchange("POST", target, body)
+            if not response.chunked:
+                raise WireError(
+                    f"expected a chunked stream, got status {response.status}"
+                )
+            self.last_stream_summary = None
+            async for document in wire.iter_chunked_lines(reader):
+                if isinstance(document, dict) and "end" in document:
+                    # Keep draining: the terminating zero-chunk is still on
+                    # the wire, and leaving it there would corrupt the next
+                    # request on this keep-alive connection.
+                    end = document["end"]
+                    self.last_stream_summary = end if isinstance(end, dict) else {}
+                    continue
+                if isinstance(document, dict):
+                    yield document
+            if self.last_stream_summary is None:
+                raise WireError(f"POST {target} ended without a summary line")
+
     # ------------------------------------------------------------------ #
     # the serving surface
     # ------------------------------------------------------------------ #
@@ -241,7 +271,7 @@ class ServeClient:
         """``POST /update`` — one delta document -> update report."""
         return await self._call("POST", "/update", {**job, "index": index})
 
-    async def stream(
+    def stream(
         self, items: List[Dict[str, object]]
     ) -> AsyncIterator[Dict[str, object]]:
         """``POST /stream`` — yield result documents as they arrive.
@@ -254,29 +284,9 @@ class ServeClient:
         a stream that dies before it raises :class:`WireError`.
         """
         body = "\n".join(json.dumps(item) for item in items)
-        async with self._lock:
-            response, reader = await self._exchange(
-                "POST", "/stream", body.encode("utf-8")
-            )
-            if not response.chunked:
-                raise WireError(
-                    f"expected a chunked stream, got status {response.status}"
-                )
-            self.last_stream_summary = None
-            async for document in wire.iter_chunked_lines(reader):
-                if isinstance(document, dict) and "end" in document:
-                    # Keep draining: the terminating zero-chunk is still on
-                    # the wire, and leaving it there would corrupt the next
-                    # request on this keep-alive connection.
-                    end = document["end"]
-                    self.last_stream_summary = end if isinstance(end, dict) else {}
-                    continue
-                if isinstance(document, dict):
-                    yield document
-            if self.last_stream_summary is None:
-                raise WireError("stream ended without a summary line")
+        return self._lines("/stream", body.encode("utf-8"))
 
-    async def range(
+    def range(
         self, job: Dict[str, object], index: int = 0
     ) -> AsyncIterator[Dict[str, object]]:
         """``POST /range`` — yield one result document per range version.
@@ -293,24 +303,7 @@ class ServeClient:
         and a stream that dies before it raises :class:`WireError`.
         """
         body = json.dumps({**job, "index": index}).encode("utf-8")
-        async with self._lock:
-            response, reader = await self._exchange("POST", "/range", body)
-            if not response.chunked:
-                raise WireError(
-                    f"expected a chunked stream, got status {response.status}"
-                )
-            self.last_stream_summary = None
-            async for document in wire.iter_chunked_lines(reader):
-                if isinstance(document, dict) and "end" in document:
-                    # Keep draining (see stream()): the zero-chunk is still
-                    # on the wire of this keep-alive connection.
-                    end = document["end"]
-                    self.last_stream_summary = end if isinstance(end, dict) else {}
-                    continue
-                if isinstance(document, dict):
-                    yield document
-            if self.last_stream_summary is None:
-                raise WireError("range stream ended without a summary line")
+        return self._lines("/range", body)
 
     async def shards(self) -> Dict[str, object]:
         """``GET /shards`` — routing table, version, per-shard load.

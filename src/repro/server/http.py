@@ -50,6 +50,10 @@ POST   ``/checkpoint/{name}``     cut a checkpoint now
 POST   ``/rollback/{name}``       body ``{"to": ref}`` -> new head record
 ====== ========================== ==========================================
 
+The table above is :data:`ROUTES`, keyed by method, first path segment
+and segment count.  A path shape no route has answers **404**; a shape
+routed only under other methods answers **405** with an ``Allow`` header.
+
 The ``/shards`` admin surface drives elastic sharding over the wire:
 ``add`` grows the fleet, ``remove`` (body ``{"shard": id}``) drains and
 retires a shard, ``move`` (body ``{"name": …, "shard": id}``) hands one
@@ -65,7 +69,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional, Set, Tuple
+from collections.abc import AsyncIterator
+from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from ..engine.executor import RangeFailure
 from ..engine.jobs import CountJob, UpdateJob, UpdateReport
@@ -217,7 +222,8 @@ class HttpServer:
         """Route one request; return whether to keep the connection."""
         self.requests += 1
         try:
-            return await self._route(request, writer)
+            await self._route(request, writer)
+            return True
         except ReproError as exc:
             status = wire.status_for_error(exc)
             headers: Dict[str, str] = {}
@@ -247,99 +253,85 @@ class HttpServer:
     # ------------------------------------------------------------------ #
     async def _route(
         self, request: HttpRequest, writer: asyncio.StreamWriter
-    ) -> bool:
+    ) -> None:
+        """Answer one request from :data:`ROUTES`.
+
+        A path shape (first segment, segment count) that no route has
+        answers 404; a shape routed only under other methods answers 405
+        with the ``Allow`` header listing them.
+        """
         segments = [piece for piece in request.path.split("/") if piece]
-        route = (request.method, segments[0] if segments else "")
-        if len(segments) <= 1:
-            if route == ("GET", "health"):
-                return await self._respond(writer, self._health())
-            if route == ("GET", "stats"):
-                return await self._respond(writer, await self._stats())
-            if route == ("GET", "databases"):
-                payload = {"databases": list(self._server.database_names())}
-                return await self._respond(writer, payload)
-            if route == ("GET", "shards"):
-                return await self._respond(writer, self._shards_view())
-            if route == ("POST", "shards"):
-                return await self._shards_admin(request, writer)
-            if route == ("GET", "calibration"):
-                return await self._respond(
-                    writer, await self._server.calibration()
-                )
-            if route == ("POST", "calibration"):
-                return await self._calibration_admin(request, writer)
-            if route == ("POST", "count"):
-                return await self._count(request, writer)
-            if route == ("POST", "update"):
-                return await self._update(request, writer)
-            if route == ("POST", "stream"):
-                return await self._stream(request, writer)
-            if route == ("POST", "range"):
-                return await self._range(request, writer)
-        elif len(segments) == 2:
-            name = segments[1]
-            if route == ("GET", "history"):
-                return await self._history(request, writer, name)
-            if route == ("GET", "checkpoints"):
-                records = await self._server.checkpoints(name)
-                payload = {
-                    "name": name,
-                    "checkpoints": [record.to_json() for record in records],
-                }
-                return await self._respond(writer, payload)
-            if route == ("POST", "checkpoint"):
-                record = await self._server.checkpoint(name)
-                payload = {
-                    "name": name,
-                    "checkpoint": None if record is None else record.to_json(),
-                }
-                return await self._respond(writer, payload)
-            if route == ("POST", "rollback"):
-                return await self._rollback(request, writer, name)
-        known = {
-            "health", "stats", "databases", "shards", "count", "update",
-            "stream", "range", "history", "checkpoints", "checkpoint",
-            "rollback", "calibration",
-        }
-        if segments and segments[0] in known:
+        shape = (segments[0] if segments else "", len(segments))
+        handler = ROUTES.get((request.method, *shape))
+        if handler is None:
             self.errors += 1
-            writer.write(
-                wire.json_response(
-                    405,
-                    {"error": {"type": "MethodNotAllowed",
-                               "message": f"{request.method} {request.path}"}},
-                )
-            )
+            allowed = sorted(route[0] for route in ROUTES if route[1:] == shape)
+            if allowed:
+                error = {"type": "MethodNotAllowed",
+                         "message": f"{request.method} {request.path}"}
+                headers = {"Allow": ", ".join(allowed)}
+                writer.write(wire.json_response(405, {"error": error}, headers))
+            else:
+                error = {"type": "NotFound",
+                         "message": f"no route for {request.path!r}"}
+                writer.write(wire.json_response(404, {"error": error}))
         else:
-            self.errors += 1
-            writer.write(
-                wire.json_response(
-                    404,
-                    {"error": {"type": "NotFound",
-                               "message": f"no route for {request.path!r}"}},
-                )
-            )
+            payload = await handler(self, request, *segments[1:])
+            if isinstance(payload, AsyncIterator):
+                await self._write_lines(writer, payload)
+            else:
+                writer.write(wire.json_response(200, payload))
         await writer.drain()
-        return True
 
-    async def _respond(
-        self, writer: asyncio.StreamWriter, payload: object, status: int = 200
-    ) -> bool:
-        writer.write(wire.json_response(status, payload))
+    async def _write_lines(
+        self, writer: asyncio.StreamWriter, outcomes: AsyncIterator[object]
+    ) -> None:
+        """Chunked JSON-lines of stream outcomes, errors in band.
+
+        The one writer behind ``/stream`` and ``/range``: a result is its
+        ``to_json`` document (a delta report tagged ``"type": "update"``),
+        a failure an ``{"index", "status", "error"}`` line (plus
+        ``retry_after`` for an overload), and an ``{"end": …}`` summary
+        line always closes the stream.
+        """
+        writer.write(wire.render_response(200, chunked=True))
+        delivered = failures = 0
+        async for outcome in outcomes:
+            if isinstance(outcome, (StreamFailure, RangeFailure)):
+                failures += 1
+                status = wire.status_for_error(outcome.error)
+                line: Dict[str, object] = {
+                    "index": outcome.index,
+                    "status": status,
+                    **wire.payload_for_error(outcome.error),
+                }
+                if status == 429:
+                    self.rejected += 1
+                    line["retry_after"] = self.retry_after
+            else:
+                delivered += 1
+                line = outcome.to_json()
+                if isinstance(outcome, UpdateReport):
+                    line["type"] = "update"
+            wire.write_chunk(writer, line)
+            await writer.drain()
+        wire.write_chunk(
+            writer, {"end": {"results": delivered, "failures": failures}}
+        )
+        wire.end_chunks(writer)
         await writer.drain()
-        return True
 
     # ------------------------------------------------------------------ #
-    # endpoint bodies
+    # endpoint bodies: each returns a JSON payload or an outcome stream
     # ------------------------------------------------------------------ #
-    def _health(self) -> Dict[str, object]:
+    async def _health(self, request: HttpRequest) -> Dict[str, object]:
         return {
             "status": "ok",
             "shards": self._server.shard_count,
             "databases": len(self._server.database_names()),
         }
 
-    async def _stats(self) -> Dict[str, object]:
+    async def _stats(self, request: HttpRequest) -> Dict[str, object]:
         stats = await self._server.stats()
         stats["http"] = {
             "requests": self.requests,
@@ -349,7 +341,10 @@ class HttpServer:
         }
         return stats
 
-    def _shards_view(self) -> Dict[str, object]:
+    async def _databases(self, request: HttpRequest) -> Dict[str, object]:
+        return {"databases": list(self._server.database_names())}
+
+    async def _shards_view(self, request: HttpRequest) -> Dict[str, object]:
         """``GET /shards``: the routing table plus the live load snapshot."""
         snapshot = self._server.load_snapshot()
         return {
@@ -368,9 +363,7 @@ class HttpServer:
             },
         }
 
-    async def _shards_admin(
-        self, request: HttpRequest, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _shards_admin(self, request: HttpRequest) -> Dict[str, object]:
         """``POST /shards``: add/remove/move/rebalance, routed by action."""
         payload = request.json()
         if not isinstance(payload, dict):
@@ -419,11 +412,12 @@ class HttpServer:
             )
         document["shards"] = self._server.shard_count
         document["version"] = self._server.routing_version
-        return await self._respond(writer, document)
+        return document
 
-    async def _calibration_admin(
-        self, request: HttpRequest, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _calibration(self, request: HttpRequest) -> Dict[str, object]:
+        return await self._server.calibration()
+
+    async def _calibration_admin(self, request: HttpRequest) -> Dict[str, object]:
         """``POST /calibration``: refine-to-exact drain or calibration batch.
 
         ``{"action": "refine"}`` (optional integer ``"limit"`` per shard)
@@ -445,8 +439,8 @@ class HttpServer:
                 raise WireError(
                     f"refine expects a non-negative integer 'limit', got {limit!r}"
                 )
-            document: Dict[str, object] = dict(await self._server.refine(limit))
-        elif action == "observe":
+            return dict(await self._server.refine(limit))
+        if action == "observe":
             jobs = payload.get("jobs")
             if not isinstance(jobs, list):
                 raise WireError(
@@ -454,13 +448,11 @@ class HttpServer:
                     f"got {type(jobs).__name__}"
                 )
             batch = [CountJob.from_json(body) for body in jobs]
-            document = dict(await self._server.calibrate_from(batch))
-        else:
-            raise WireError(
-                f"unknown calibration action {action!r}; expected one of "
-                f"'refine', 'observe'"
-            )
-        return await self._respond(writer, document)
+            return dict(await self._server.calibrate_from(batch))
+        raise WireError(
+            f"unknown calibration action {action!r}; expected one of "
+            f"'refine', 'observe'"
+        )
 
     @staticmethod
     def _payload_and_index(request: HttpRequest) -> Tuple[Dict[str, object], int]:
@@ -474,26 +466,24 @@ class HttpServer:
             raise WireError(f"index must be a non-negative integer, got {index!r}")
         return payload, index
 
-    async def _count(
-        self, request: HttpRequest, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _count(self, request: HttpRequest) -> Dict[str, object]:
         payload, index = self._payload_and_index(request)
         job = CountJob.from_json(payload)
         result = await self._server.submit(job, index)
-        return await self._respond(writer, result.to_json())
+        return result.to_json()
 
-    async def _update(
-        self, request: HttpRequest, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _update(self, request: HttpRequest) -> Dict[str, object]:
         payload, index = self._payload_and_index(request)
         job = UpdateJob.from_json(payload)
         report = await self._server.submit(job, index)
-        return await self._respond(writer, report.to_json())
+        return report.to_json()
 
-    async def _stream(
-        self, request: HttpRequest, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Chunked JSON-lines of results, completion order, errors in band."""
+    async def _stream(self, request: HttpRequest) -> AsyncIterator[object]:
+        """``POST /stream``: results in completion order, errors in band.
+
+        The whole JSON-lines body is parsed before anything is
+        dispatched, so a malformed line is a 400 and nothing runs.
+        """
         lines = request.body.split(b"\n")
         items = []
         for line in lines:
@@ -501,37 +491,9 @@ class HttpServer:
             if not line:
                 continue
             items.append(parse_stream_item(_parse_stream_line(line)))
-        writer.write(wire.render_response(200, chunked=True))
-        delivered = failures = 0
-        async for outcome in self._server.results(items, on_error="yield"):
-            if isinstance(outcome, StreamFailure):
-                failures += 1
-                status = wire.status_for_error(outcome.error)
-                line_payload: Dict[str, object] = {
-                    "index": outcome.index,
-                    "status": status,
-                    **wire.payload_for_error(outcome.error),
-                }
-                if status == 429:
-                    self.rejected += 1
-                    line_payload["retry_after"] = self.retry_after
-            else:
-                delivered += 1
-                line_payload = outcome.to_json()
-                if isinstance(outcome, UpdateReport):
-                    line_payload["type"] = "update"
-            wire.write_chunk(writer, line_payload)
-            await writer.drain()
-        wire.write_chunk(
-            writer, {"end": {"results": delivered, "failures": failures}}
-        )
-        wire.end_chunks(writer)
-        await writer.drain()
-        return True
+        return self._server.results(items, on_error="yield")
 
-    async def _range(
-        self, request: HttpRequest, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _range(self, request: HttpRequest) -> AsyncIterator[object]:
         """``POST /range``: one ``as_of_range`` job, chunked results.
 
         The body is a single count-job document carrying ``as_of_range``
@@ -551,35 +513,14 @@ class HttpServer:
         payload, first_index = self._payload_and_index(request)
         job = CountJob.from_json(payload)
         outcomes = await self._server.run_range(job, first_index)
-        writer.write(wire.render_response(200, chunked=True))
-        delivered = failures = 0
-        for outcome in outcomes:
-            if isinstance(outcome, RangeFailure):
-                failures += 1
-                status = wire.status_for_error(outcome.error)
-                line_payload: Dict[str, object] = {
-                    "index": outcome.index,
-                    "status": status,
-                    **wire.payload_for_error(outcome.error),
-                }
-                if status == 429:
-                    self.rejected += 1
-                    line_payload["retry_after"] = self.retry_after
-            else:
-                delivered += 1
-                line_payload = outcome.to_json()
-            wire.write_chunk(writer, line_payload)
-            await writer.drain()
-        wire.write_chunk(
-            writer, {"end": {"results": delivered, "failures": failures}}
-        )
-        wire.end_chunks(writer)
-        await writer.drain()
-        return True
 
-    async def _history(
-        self, request: HttpRequest, writer: asyncio.StreamWriter, name: str
-    ) -> bool:
+        async def each() -> AsyncIterator[object]:
+            for outcome in outcomes:
+                yield outcome
+
+        return each()
+
+    async def _history(self, request: HttpRequest, name: str) -> Dict[str, object]:
         lineage = await self._server.history(name)
         records = list(lineage)
         elided = 0
@@ -595,17 +536,28 @@ class HttpServer:
                 elided = max(0, len(records) - limit)
                 records = records[-limit:]
         head = lineage.head
-        payload = {
+        return {
             "name": name,
             "records": [record.to_json() for record in records],
             "elided": elided,
             "head": None if head is None else head.digest,
         }
-        return await self._respond(writer, payload)
 
-    async def _rollback(
-        self, request: HttpRequest, writer: asyncio.StreamWriter, name: str
-    ) -> bool:
+    async def _checkpoints(self, request: HttpRequest, name: str) -> Dict[str, object]:
+        records = await self._server.checkpoints(name)
+        return {
+            "name": name,
+            "checkpoints": [record.to_json() for record in records],
+        }
+
+    async def _checkpoint(self, request: HttpRequest, name: str) -> Dict[str, object]:
+        record = await self._server.checkpoint(name)
+        return {
+            "name": name,
+            "checkpoint": None if record is None else record.to_json(),
+        }
+
+    async def _rollback(self, request: HttpRequest, name: str) -> Dict[str, object]:
         payload = request.json()
         if not isinstance(payload, dict) or "to" not in payload:
             raise WireError('rollback expects a body like {"to": <ref>}')
@@ -613,5 +565,31 @@ class HttpServer:
         if not isinstance(reference, (str, int)) or isinstance(reference, bool):
             raise WireError(f"rollback ref must be a digest or index, got {reference!r}")
         record = await self._server.rollback(name, reference)
-        return await self._respond(writer, {"name": name, "record": record.to_json()})
+        return {"name": name, "record": record.to_json()}
 
+
+#: A route handler: ``handler(front, request, *path_arguments)`` resolves
+#: to the JSON payload of a 200 answer, or to an async iterator of stream
+#: outcomes that is written as chunked JSON-lines.
+Handler = Callable[..., Awaitable[object]]
+
+#: The route table: ``(method, first path segment, segment count)`` ->
+#: handler; the segments after the first are the handler's arguments.
+#: The only routing authority — 404 and 405 are derived from it.
+ROUTES: Dict[Tuple[str, str, int], Handler] = {
+    ("GET", "health", 1): HttpServer._health,
+    ("GET", "stats", 1): HttpServer._stats,
+    ("GET", "databases", 1): HttpServer._databases,
+    ("GET", "shards", 1): HttpServer._shards_view,
+    ("POST", "shards", 1): HttpServer._shards_admin,
+    ("GET", "calibration", 1): HttpServer._calibration,
+    ("POST", "calibration", 1): HttpServer._calibration_admin,
+    ("POST", "count", 1): HttpServer._count,
+    ("POST", "update", 1): HttpServer._update,
+    ("POST", "stream", 1): HttpServer._stream,
+    ("POST", "range", 1): HttpServer._range,
+    ("GET", "history", 2): HttpServer._history,
+    ("GET", "checkpoints", 2): HttpServer._checkpoints,
+    ("POST", "checkpoint", 2): HttpServer._checkpoint,
+    ("POST", "rollback", 2): HttpServer._rollback,
+}

@@ -16,6 +16,13 @@ observes exactly the snapshots produced by the deltas submitted before it
 — the same stream semantics as :meth:`SolverPool.run_stream`, without a
 global barrier between segments.
 
+There is one way to put work on a shard: :meth:`Shard.call` queues one
+allow-listed :class:`~repro.engine.SolverPool` operation (see
+:data:`SHARD_OPS`), and the worker runs it on its pool.  Multi-step
+operations — exporting a name for a handoff, adopting it on the
+destination, the stats and calibration probes — are back-to-back calls on
+the same FIFO queue, so nothing submitted later can interleave with them.
+
 All cross-process payloads are primitive job/report dataclasses (already
 picklable by design); databases are shipped once at worker start, not per
 job.
@@ -26,20 +33,36 @@ from __future__ import annotations
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..db.constraints import PrimaryKeySet
 from ..db.database import Database
-from ..db.delta import Delta
-from ..db.lineage import CheckpointRecord, Lineage, LineageRecord
-from ..engine.executor import RangeFailure
-from ..engine.jobs import CountJob, JobResult, UpdateJob, UpdateReport
 from ..engine.pool import SolverPool
 from ..errors import ServerError
-from ..store.tuning import CheckpointPolicy
 
-__all__ = ["Shard"]
+__all__ = ["SHARD_OPS", "Shard"]
+
+#: The :class:`~repro.engine.SolverPool` attributes :meth:`Shard.call`
+#: may run inside a shard worker.  Methods are called with the given
+#: arguments; properties (the counters) are read.  Anything else — a
+#: typo, a private attribute — is refused in the parent before queueing.
+SHARD_OPS = frozenset({
+    # stream elements: counting jobs, ranges, deltas
+    "run_job", "run_range", "apply_delta",
+    # the ownership handoff (registration goes through ``own``)
+    "lookup", "adopt_lineage", "prime_handoff", "forget",
+    # lineage probes and admin
+    "lineage", "checkpoints", "checkpoint", "rollback",
+    # anytime refinement and calibration
+    "drain_refinements", "pending_refinements", "refinements_completed",
+    "calibrate_from", "calibration_stats",
+    # statistics
+    "cache_stats", "selector_recomputations", "decomposition_recomputations",
+    "database_names",
+})
+
+#: Ops whose results carry the ``shard-{id}:pid-{pid}`` worker label.
+_LABELLED_OPS = ("run_job", "run_range")
 
 
 class Shard:
@@ -47,32 +70,19 @@ class Shard:
 
     Shards are created and owned by
     :class:`~repro.server.async_server.AsyncServer`; they are not meant to
-    be driven directly.  ``submit_*`` methods return
+    be driven directly.  :meth:`call` returns
     :class:`concurrent.futures.Future` objects that the server awaits via
-    asyncio.
+    asyncio.  ``pool_options`` are the :class:`~repro.engine.SolverPool`
+    constructor arguments the worker builds its pool with.
 
     >>> shard = Shard(0)
     >>> (shard.owned_names(), shard.is_running)
     ((), False)
     """
 
-    def __init__(
-        self,
-        shard_id: int,
-        persist_dir: Optional[Union[str, Path]] = None,
-        persist_max_entries: Optional[int] = None,
-        persist_max_age: Optional[float] = None,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_policy: Optional[CheckpointPolicy] = None,
-        persist_max_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, shard_id: int, **pool_options: Any) -> None:
         self.shard_id = shard_id
-        self._persist_dir = persist_dir
-        self._persist_max_entries = persist_max_entries
-        self._persist_max_age = persist_max_age
-        self._checkpoint_every = checkpoint_every
-        self._checkpoint_policy = checkpoint_policy
-        self._persist_max_bytes = persist_max_bytes
+        self._pool_options = pool_options
         self._databases: Dict[str, Tuple[Database, PrimaryKeySet]] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         self._pending_registrations: List["Future[None]"] = []
@@ -106,7 +116,7 @@ class Shard:
         self._databases[name] = (database, keys)
         if self._executor is not None:
             self._pending_registrations.append(
-                self._executor.submit(_shard_register, name, database, keys)
+                self._executor.submit(_shard_call, "register", name, database, keys)
             )
 
     def release(self, name: str) -> Tuple[Database, PrimaryKeySet]:
@@ -114,7 +124,7 @@ class Shard:
 
         The bookkeeping half of a handoff: the caller re-owns the
         snapshot on the destination shard (and, for a live source worker,
-        additionally queues :meth:`submit_forget`).  A stopped shard
+        additionally queues a ``forget`` call).  A stopped shard
         restarted later will no longer prime the released name.
         """
         if name not in self._databases:
@@ -150,16 +160,7 @@ class Shard:
         self._executor = ProcessPoolExecutor(
             max_workers=1,
             initializer=_initialise_shard,
-            initargs=(
-                self.shard_id,
-                dict(self._databases),
-                self._persist_dir,
-                self._persist_max_entries,
-                self._persist_max_age,
-                self._checkpoint_every,
-                self._checkpoint_policy,
-                self._persist_max_bytes,
-            ),
+            initargs=(self.shard_id, dict(self._databases), self._pool_options),
         )
 
     def stop(self) -> None:
@@ -188,176 +189,34 @@ class Shard:
     # ------------------------------------------------------------------ #
     # work submission (FIFO per shard — one worker, one queue)
     # ------------------------------------------------------------------ #
-    def _require_executor(self) -> ProcessPoolExecutor:
+    def call(self, op: str, *args: Any) -> "Future[Any]":
+        """Queue one :class:`~repro.engine.SolverPool` operation on the worker.
+
+        ``op`` must be in :data:`SHARD_OPS`; the worker runs
+        ``pool.<op>(*args)`` (or reads the property) and the future
+        resolves to its result.  Calls execute in submission order, so a
+        probe observes every job and delta queued before it, and jobs
+        queued after a ``rollback`` or ``checkpoint`` see its effect.
+
+        The stream-element ops take ``(job, index)`` — the job and its
+        stream position: ``run_job`` and ``run_range`` results carry the
+        ``shard-{id}:pid-{pid}`` worker label, and ``apply_delta`` takes
+        the :class:`~repro.engine.UpdateJob` itself and returns its report
+        with the job's ``index`` and ``label``.  They also advance the
+        ``jobs_submitted``/``updates_submitted`` counters.
+        """
+        if op not in SHARD_OPS:
+            raise ServerError(f"shard operation {op!r} is not allowed")
         if self._executor is None:
             raise ServerError(
                 f"shard {self.shard_id} is not running; start the server first"
             )
-        return self._executor
-
-    def submit_count(self, index: int, job: CountJob) -> "Future[JobResult]":
-        """Queue one counting job on the shard's worker."""
-        executor = self._require_executor()
         self._raise_failed_registrations()
-        self.jobs_submitted += 1
-        return executor.submit(_shard_count, index, job)
-
-    def submit_range(
-        self, first_index: int, job: CountJob
-    ) -> "Future[List[Union[JobResult, RangeFailure]]]":
-        """Queue a whole ``as_of_range`` job as one unit of work.
-
-        The range rides the shard's FIFO queue as a single submission, so
-        every version it expands to counts against the same lineage state
-        — no delta submitted after the range can interleave with it.  The
-        worker resolves all versions through one shared replay walk
-        (:meth:`SolverPool.run_range`) and returns one in-order outcome
-        per version, failures in-band as
-        :class:`~repro.engine.executor.RangeFailure`.
-        """
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        self.jobs_submitted += 1
-        return executor.submit(_shard_range, first_index, job)
-
-    def submit_update(self, index: int, job: UpdateJob) -> "Future[UpdateReport]":
-        """Queue one delta on the shard's worker (FIFO after prior jobs)."""
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        self.updates_submitted += 1
-        return executor.submit(
-            _shard_update, index, job.database, job.delta, job.label
-        )
-
-    def submit_stats(self) -> "Future[Dict[str, object]]":
-        """Queue a stats probe; resolves after currently queued jobs."""
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        return executor.submit(_shard_stats)
-
-    def submit_history(self, name: str) -> "Future[Lineage]":
-        """Queue a lineage probe for one owned name.
-
-        The worker pool is the lineage authority: it observed every
-        registration and delta of its owned names in FIFO order (and, with
-        a persistent store, adopted the catalog's chains at registration),
-        so the returned :class:`~repro.db.lineage.Lineage` reflects every
-        update submitted before the probe.
-        """
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        return executor.submit(_shard_history, name)
-
-    def submit_checkpoints(
-        self, name: str
-    ) -> "Future[Tuple[CheckpointRecord, ...]]":
-        """Queue a checkpoint probe for one owned name (FIFO like history)."""
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        return executor.submit(_shard_checkpoints, name)
-
-    def submit_checkpoint(self, name: str) -> "Future[Optional[CheckpointRecord]]":
-        """Queue an explicit compaction checkpoint of one owned name.
-
-        FIFO with the shard's jobs, so the checkpoint captures exactly the
-        snapshot produced by the deltas submitted before it.
-        """
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        return executor.submit(_shard_checkpoint, name)
-
-    def submit_rollback(
-        self, name: str, ref: Union[str, int]
-    ) -> "Future[LineageRecord]":
-        """Queue a rollback of one owned name to a recorded ancestor.
-
-        FIFO with the shard's jobs: the rollback observes every delta
-        submitted before it, and jobs submitted after it count against
-        the rolled-back head.
-        """
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        return executor.submit(_shard_rollback, name, ref)
-
-    # ------------------------------------------------------------------ #
-    # ownership handoff (elastic sharding)
-    # ------------------------------------------------------------------ #
-    def submit_export(
-        self, name: str
-    ) -> "Future[Tuple[Database, PrimaryKeySet, Lineage]]":
-        """Queue an export of the name's *current* head (FIFO after its jobs).
-
-        The source half of a live handoff.  The worker pool — not the
-        parent-side priming copy — is the authority: it holds the
-        post-delta head and the recorded lineage, and because the export
-        is a queued job it observes every delta submitted before the
-        move started.
-        """
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        return executor.submit(_shard_export, name)
-
-    def submit_handoff(
-        self,
-        name: str,
-        database: Database,
-        keys: PrimaryKeySet,
-        lineage: Lineage,
-    ) -> "Future[Dict[str, object]]":
-        """Queue adoption of a snapshot exported from another shard.
-
-        The destination half: the worker registers the exported head,
-        adopts its lineage chain, and primes its caches through the
-        shared store (:meth:`SolverPool.prime_handoff`) so a warm-store
-        handoff serves without recomputation.  The parent-side priming
-        set is updated too, so a restart re-registers the name here.
-        Resolves to the priming report (decomposition provenance plus
-        available selector entries).
-        """
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        self._databases[name] = (database, keys)
-        return executor.submit(_shard_handoff, name, database, keys, lineage)
-
-    # ------------------------------------------------------------------ #
-    # anytime refinement and calibration
-    # ------------------------------------------------------------------ #
-    def submit_refine(self, limit: Optional[int] = None) -> "Future[Dict[str, int]]":
-        """Queue a drain of the worker's refine-to-exact continuations.
-
-        FIFO with the shard's jobs, so the drain observes exactly the
-        anytime jobs submitted before it; later anytime jobs on the same
-        snapshot/query are answered exactly from the worker's cache.
-        """
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        return executor.submit(_shard_refine, limit)
-
-    def submit_calibrate(
-        self, jobs: List[CountJob]
-    ) -> "Future[Dict[str, int]]":
-        """Queue a calibration batch (estimate + exact per randomised job)."""
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        return executor.submit(_shard_calibrate, jobs)
-
-    def submit_calibration_stats(self) -> "Future[Dict[str, object]]":
-        """Queue a probe of the worker's calibration tables."""
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        return executor.submit(_shard_calibration_stats)
-
-    def submit_forget(self, name: str) -> "Future[None]":
-        """Queue removal of a name from the worker pool (post-export).
-
-        Completes the source half of a live handoff: the worker drops
-        the head, its unshared in-memory derived state and its chain;
-        the shared store keeps the durable entries the destination now
-        reads through.
-        """
-        executor = self._require_executor()
-        self._raise_failed_registrations()
-        return executor.submit(_shard_forget, name)
+        if op == "apply_delta":
+            self.updates_submitted += 1
+        elif op in _LABELLED_OPS:
+            self.jobs_submitted += 1
+        return self._executor.submit(_shard_call, op, *args)
 
     def __repr__(self) -> str:
         state = "running" if self.is_running else "stopped"
@@ -371,7 +230,7 @@ class Shard:
 # worker-process side
 # ---------------------------------------------------------------------- #
 #: The per-process pool a shard worker serves from.  Module-level so job
-#: submissions only ship (index, job) pairs, never databases.
+#: submissions only ship (op, args) pairs, never the pool's databases.
 _SHARD_POOL: Optional[SolverPool] = None
 _SHARD_ID: Optional[int] = None
 
@@ -379,146 +238,37 @@ _SHARD_ID: Optional[int] = None
 def _initialise_shard(
     shard_id: int,
     databases: Dict[str, Tuple[Database, PrimaryKeySet]],
-    persist_dir: Optional[Union[str, Path]],
-    persist_max_entries: Optional[int],
-    persist_max_age: Optional[float],
-    checkpoint_every: Optional[int] = None,
-    checkpoint_policy: Optional[CheckpointPolicy] = None,
-    persist_max_bytes: Optional[int] = None,
+    pool_options: Dict[str, Any],
 ) -> None:
     """Prime the shard worker: build its pool, register its snapshots.
 
     Shards share one persistent cache directory (safe: entries are pure
     functions of their content-hash key and writes are atomic, so
     concurrent writers merely race to store the same bytes).  Checkpoint
-    policies travel here pickled inside the initargs — each worker gets
-    its own instance, observing its own shard's reads.
+    policies travel here pickled inside ``pool_options`` — each worker
+    gets its own instance, observing its own shard's reads.
     """
     global _SHARD_POOL, _SHARD_ID
-    pool = SolverPool(
-        persist_dir=persist_dir,
-        persist_max_entries=persist_max_entries,
-        persist_max_age=persist_max_age,
-        checkpoint_every=checkpoint_every,
-        checkpoint_policy=checkpoint_policy,
-        persist_max_bytes=persist_max_bytes,
-    )
+    pool = SolverPool(**pool_options)
     for name, (database, keys) in databases.items():
         pool.register(name, database, keys)
     _SHARD_POOL = pool
     _SHARD_ID = shard_id
 
 
-def _require_pool() -> SolverPool:
-    if _SHARD_POOL is None:  # pragma: no cover - initializer always runs first
+def _shard_call(op: str, *args: Any) -> Any:
+    """Run one pool operation: a :data:`SHARD_OPS` entry, or ``register``."""
+    pool = _SHARD_POOL
+    if pool is None:  # pragma: no cover - initializer always runs first
         raise ServerError("shard worker used before initialisation")
-    return _SHARD_POOL
-
-
-def _shard_register(name: str, database: Database, keys: PrimaryKeySet) -> None:
-    """Late registration inside a live worker (post-start ``own`` calls)."""
-    _require_pool().register(name, database, keys)
-
-
-def _shard_count(index: int, job: CountJob) -> JobResult:
-    """Run one counting job; ``index`` is the position in the client stream."""
-    return _require_pool().run_job(
-        job, index=index, worker_label=f"shard-{_SHARD_ID}:pid-{os.getpid()}"
-    )
-
-
-def _shard_range(
-    first_index: int, job: CountJob
-) -> List[Union[JobResult, RangeFailure]]:
-    """Run one ``as_of_range`` job; outcomes are indexed from ``first_index``."""
-    return _require_pool().run_range(
-        job,
-        first_index=first_index,
-        worker_label=f"shard-{_SHARD_ID}:pid-{os.getpid()}",
-    )
-
-
-def _shard_update(
-    index: int, name: str, delta: Delta, label: Optional[str]
-) -> UpdateReport:
-    """Apply one delta to the shard's snapshot of ``name``."""
-    report = _require_pool().apply_delta(name, delta)
-    return replace(report, index=index, label=label)
-
-
-def _shard_history(name: str) -> Lineage:
-    """The worker pool's recorded lineage of one owned name."""
-    return _require_pool().lineage(name)
-
-
-def _shard_checkpoints(name: str) -> Tuple[CheckpointRecord, ...]:
-    """The worker pool's known checkpoints of one owned name."""
-    return _require_pool().checkpoints(name)
-
-
-def _shard_checkpoint(name: str) -> Optional[CheckpointRecord]:
-    """Cut an explicit compaction checkpoint inside the shard worker."""
-    return _require_pool().checkpoint(name)
-
-
-def _shard_rollback(name: str, ref: Union[str, int]) -> LineageRecord:
-    """Re-register a recorded ancestor as the head, inside the worker."""
-    return _require_pool().rollback(name, ref)
-
-
-def _shard_export(name: str) -> Tuple[Database, PrimaryKeySet, Lineage]:
-    """Export the current head and lineage of one owned name."""
-    pool = _require_pool()
-    database, keys = pool.lookup(name)
-    return database, keys, pool.lineage(name)
-
-
-def _shard_handoff(
-    name: str, database: Database, keys: PrimaryKeySet, lineage: Lineage
-) -> Dict[str, object]:
-    """Adopt an exported snapshot: register, adopt lineage, prime caches."""
-    pool = _require_pool()
-    pool.register(name, database, keys)
-    pool.adopt_lineage(name, lineage)
-    return pool.prime_handoff(name)
-
-
-def _shard_forget(name: str) -> None:
-    """Drop one owned name from the worker pool after its export."""
-    _require_pool().forget(name)
-
-
-def _shard_refine(limit: Optional[int]) -> Dict[str, int]:
-    """Drain refine-to-exact continuations inside the shard worker."""
-    pool = _require_pool()
-    drained = pool.drain_refinements(limit)
-    return {
-        "refined": drained,
-        "pending": pool.pending_refinements,
-        "completed": pool.refinements_completed,
-    }
-
-
-def _shard_calibrate(jobs: List[CountJob]) -> Dict[str, int]:
-    """Record calibration pairs from a held-out batch, inside the worker."""
-    return _require_pool().calibrate_from(jobs)
-
-
-def _shard_calibration_stats() -> Dict[str, object]:
-    """The worker pool's conformal calibration statistics."""
-    pool = _require_pool()
-    stats = dict(pool.calibration_stats())
-    stats["pending_refinements"] = pool.pending_refinements
-    stats["refinements_completed"] = pool.refinements_completed
-    return stats
-
-
-def _shard_stats() -> Dict[str, object]:
-    """The worker pool's cache statistics and recomputation counters."""
-    pool = _require_pool()
-    return {
-        "cache": pool.cache_stats(),
-        "selector_recomputations": pool.selector_recomputations,
-        "decomposition_recomputations": pool.decomposition_recomputations,
-        "databases": list(pool.database_names()),
-    }
+    if op in _LABELLED_OPS:
+        job, index = args
+        return getattr(pool, op)(
+            job, index, worker_label=f"shard-{_SHARD_ID}:pid-{os.getpid()}"
+        )
+    if op == "apply_delta":
+        job, index = args
+        report = pool.apply_delta(job.database, job.delta)
+        return replace(report, index=index, label=job.label)
+    value = getattr(pool, op)
+    return value(*args) if callable(value) else value

@@ -1,9 +1,8 @@
 """The persistence subsystem: backends, content-addressed caches, lineage.
 
 ``repro.store`` is where everything durable lives.  It grew out of
-``repro.engine.persist`` (which remains as a deprecation shim) when
-persistence stopped being a cache bolt-on and became a layer of its own
-with three kinds of state:
+``repro.engine.persist`` when persistence stopped being a cache bolt-on
+and became a layer of its own with three kinds of state:
 
 **Backends** (:mod:`repro.store.backend`)
     A :class:`StoreBackend` is a named-immutable-blob store with atomic

@@ -78,10 +78,28 @@ class TestEndpoints:
                         assert stats["http"]["requests"] >= 3
 
                         # Unknown path, wrong method, bad payloads: loud.
-                        with pytest.raises(EngineError):
-                            await client._call("GET", "/no-such-route")
+                        # A path shape no route has is 404, even under a
+                        # known first segment; 405 needs the same shape
+                        # routed under another method, and names it.
+                        for method, target in [
+                            ("GET", "/no-such-route"),
+                            ("GET", "/history"),
+                            ("POST", "/count/emp"),
+                            ("GET", "/history/emp/x"),
+                        ]:
+                            with pytest.raises(EngineError):
+                                await client._call(method, target)
                         with pytest.raises(ServerError, match="405"):
                             await client._call("GET", "/count")
+                        reader, writer = await asyncio.open_connection(
+                            front.host, front.port
+                        )
+                        writer.write(wire.render_request("GET", "/count", "test"))
+                        response = await wire.read_response(reader)
+                        writer.close()
+                        await writer.wait_closed()
+                        assert response.status == 405
+                        assert response.headers["allow"] == "POST"
                         with pytest.raises(BatchSpecError):
                             await client.count({"database": "emp"})
                         with pytest.raises(EngineError):

@@ -11,9 +11,7 @@ What is pinned here:
   logic of the two cache subclasses is gone (one base implementation);
 * the snapshot catalog is append-only, survives restarts, tolerates a
   corrupt record by truncating the loaded chain, and never lets cache GC
-  touch its records;
-* the ``repro.engine.persist`` deprecation shim still exports the moved
-  classes (old imports and pickles keep working).
+  touch its records.
 """
 
 import pickle
@@ -279,40 +277,3 @@ class TestSnapshotCatalog:
         catalog.append(self._record(0, "a" * 64))
         assert len(SnapshotCatalog(backend).lineage("live")) == 1
 
-
-class TestDeprecationShim:
-    def test_persist_module_reexports_the_moved_classes(self):
-        # The first import of the shim in a process emits the (intended)
-        # DeprecationWarning; acknowledge it so the suite stays clean
-        # even with warnings promoted to errors.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.engine import persist
-        from repro.store import caches
-
-        assert persist.SelectorDiskCache is caches.SelectorDiskCache
-        assert persist.DecompositionDiskCache is caches.DecompositionDiskCache
-        assert persist.FORMAT_VERSION == FORMAT_VERSION
-        # The historical private base-class name still resolves.
-        assert persist._ContentAddressedDiskCache is caches.ContentAddressedStore
-
-    def test_persist_module_warns_on_import(self):
-        """The shim is no longer silent: importing it names its successor.
-
-        The module may already be in ``sys.modules`` (other tests import
-        it), so the warning is asserted on a reload — which is exactly
-        what a fresh interpreter's first import executes.
-        """
-        import importlib
-
-        from repro.engine import persist
-        from repro.store import caches
-
-        with pytest.warns(DeprecationWarning, match="repro.store"):
-            reloaded = importlib.reload(persist)
-        # The re-exports survive the warning-carrying reload unchanged.
-        assert reloaded.SelectorDiskCache is caches.SelectorDiskCache
-        assert reloaded.DecompositionDiskCache is caches.DecompositionDiskCache
-        assert reloaded.FORMAT_VERSION == FORMAT_VERSION
