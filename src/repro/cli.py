@@ -30,8 +30,8 @@ be used from the shell on databases stored as JSON (see
 Every command prints a small, line-oriented report to stdout (``batch``
 prints a JSON report, ``serve`` streams JSON-lines results, ``history``
 one line per recorded snapshot) and exits with status 0 on success;
-malformed input exits with status 2 and a message on stderr (argparse's
-convention).
+malformed input exits with status 2 and a one-line ``<command>: <message>``
+on stderr (argparse's convention).
 """
 
 from __future__ import annotations
@@ -39,42 +39,54 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .core import CQASolver
-from .db import Database, PrimaryKeySet, load_csv_directory, load_json
+from .db import load_csv_directory, load_json
 from .errors import ReproError
 from .query import parse_query
 
 __all__ = ["build_parser", "main"]
 
+#: ``--persist-cache`` help of the commands that only read a lineage.
+_LINEAGE_STORE_HELP = (
+    "store directory whose snapshot catalog holds the lineage "
+    "(the same directory batch/serve persist into)"
+)
+
+
+def _key_spec(text: str) -> Tuple[str, List[int]]:
+    """Parse one ``--key RELATION=POS1,POS2`` value (argparse ``type``)."""
+    relation, _, positions = text.partition("=")
+    try:
+        return relation, [int(position) for position in positions.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects RELATION=pos1,pos2 (got {text!r})"
+        ) from None
+
 
 def _load_instance(arguments: argparse.Namespace) -> tuple:
     """Load (database, keys) from the --json or --csv-dir arguments."""
     if arguments.json:
-        database, keys = load_json(arguments.json)
-    else:
-        key_spec = {}
-        for item in arguments.key or []:
-            relation, _, positions = item.partition("=")
-            if not positions:
-                raise SystemExit(
-                    f"--key expects RELATION=pos1,pos2 (got {item!r})"
-                )
-            key_spec[relation] = [int(position) for position in positions.split(",")]
-        database, keys = load_csv_directory(arguments.csv_dir, keys=key_spec)
-    if arguments.key and arguments.json:
-        raise SystemExit("--key is only meaningful together with --csv-dir")
-    return database, keys
+        if arguments.key:
+            raise ReproError("--key is only meaningful together with --csv-dir")
+        return load_json(arguments.json)
+    return load_csv_directory(arguments.csv_dir, keys=dict(arguments.key or ()))
+
+
+def _answer_variables(arguments: argparse.Namespace) -> Tuple[str, ...]:
+    """The ``--answer-vars`` names (empty for a Boolean query)."""
+    return tuple(
+        name.strip() for name in (arguments.answer_vars or "").split(",") if name.strip()
+    )
 
 
 def _parse_cli_query(arguments: argparse.Namespace):
-    answer_variables = []
-    if getattr(arguments, "answer_vars", None):
-        answer_variables = [name.strip() for name in arguments.answer_vars.split(",") if name.strip()]
-    return parse_query(arguments.query, answer_variables=answer_variables)
+    return parse_query(arguments.query, answer_variables=_answer_variables(arguments))
 
 
 def _add_instance_arguments(parser: argparse.ArgumentParser) -> None:
@@ -84,16 +96,74 @@ def _add_instance_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--key",
         action="append",
+        type=_key_spec,
         metavar="RELATION=POS1,POS2",
         help="primary key for a relation when loading from CSV (repeatable)",
     )
 
 
-def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_query_arguments(parser: argparse.ArgumentParser, answer: bool = True) -> None:
     parser.add_argument("--query", required=True, help="query in the textual syntax")
     parser.add_argument(
         "--answer-vars",
         help="comma-separated answer variables (omit for a Boolean query)",
+    )
+    if answer:
+        parser.add_argument(
+            "--answer", help="comma-separated answer tuple for non-Boolean queries"
+        )
+
+
+def _add_method_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--method",
+        default="auto",
+        choices=["auto", "naive", "certificate", "inclusion-exclusion",
+                 "enumeration", "fpras", "karp-luby"],
+    )
+    parser.add_argument("--epsilon", type=float, default=0.1)
+    parser.add_argument("--delta", type=float, default=0.05)
+    parser.add_argument(
+        "--seed", type=int, default=None, help="seed for the randomised methods"
+    )
+
+
+def _add_store_argument(
+    parser: argparse.ArgumentParser, required: bool, help: str
+) -> None:
+    parser.add_argument("--persist-cache", required=required, metavar="DIR", help=help)
+
+
+def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--checkpoint-every",
+        type=int,
+        metavar="K",
+        help="cut a compaction checkpoint every K effective deltas of a "
+        "name (requires --persist-cache); deep as_of replays then start "
+        "at the nearest checkpoint",
+    )
+    parser.add_argument(
+        "--max-latency",
+        type=float,
+        metavar="SECONDS",
+        help="anytime SLA applied to every randomised count job: stop "
+        "sampling after SECONDS and report the running estimate with its "
+        "interval",
+    )
+    parser.add_argument(
+        "--max-error",
+        type=float,
+        metavar="FRACTION",
+        help="anytime SLA applied to every randomised count job: stop "
+        "sampling once the interval is relatively tighter than FRACTION",
+    )
+    parser.add_argument(
+        "--calibrate-from",
+        metavar="FILE",
+        help="job file of held-out calibration jobs, run before the jobs: "
+        "every randomised one is run both sampled and exactly, and the "
+        "residuals conformally calibrate the anytime intervals",
     )
 
 
@@ -107,38 +177,35 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     inspect = subparsers.add_parser("inspect", help="summarise the database and its conflicts")
+    inspect.set_defaults(run=_run_inspect)
     _add_instance_arguments(inspect)
 
     repairs = subparsers.add_parser("repairs", help="count (and optionally list) the repairs")
+    repairs.set_defaults(run=_run_repairs)
     _add_instance_arguments(repairs)
     repairs.add_argument("--list", type=int, default=0, metavar="N", help="print up to N repairs")
 
     decide = subparsers.add_parser("decide", help="is the query entailed by some repair?")
+    decide.set_defaults(run=_run_decide)
     _add_instance_arguments(decide)
     _add_query_arguments(decide)
-    decide.add_argument("--answer", help="comma-separated answer tuple for non-Boolean queries")
 
     count = subparsers.add_parser("count", help="count the repairs entailing the query")
+    count.set_defaults(run=_run_count)
     _add_instance_arguments(count)
     _add_query_arguments(count)
-    count.add_argument("--answer", help="comma-separated answer tuple for non-Boolean queries")
-    count.add_argument(
-        "--method",
-        default="auto",
-        choices=["auto", "naive", "certificate", "inclusion-exclusion", "enumeration", "fpras", "karp-luby"],
-    )
-    count.add_argument("--epsilon", type=float, default=0.1)
-    count.add_argument("--delta", type=float, default=0.05)
-    count.add_argument("--seed", type=int, default=None, help="seed for the randomised methods")
+    _add_method_arguments(count)
 
     rank = subparsers.add_parser("rank", help="rank candidate answers by relative frequency")
+    rank.set_defaults(run=_run_rank)
     _add_instance_arguments(rank)
-    _add_query_arguments(rank)
+    _add_query_arguments(rank, answer=False)
     rank.add_argument("--top", type=int, default=0, metavar="N", help="print only the top N answers")
 
     batch = subparsers.add_parser(
         "batch", help="run a batch of counting jobs through the SolverPool engine"
     )
+    batch.set_defaults(run=_run_batch)
     batch.add_argument(
         "--jobs",
         required=True,
@@ -155,51 +222,19 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--indent", type=int, default=None, help="indent the JSON report for humans"
     )
-    batch.add_argument(
-        "--persist-cache",
-        metavar="DIR",
-        default=None,
+    _add_store_argument(
+        batch,
+        required=False,
         help="directory for the persistent selector cache; re-running an "
         "unchanged job file against the same directory recomputes nothing",
     )
-    batch.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="K",
-        help="cut a compaction checkpoint every K effective deltas "
-        "(requires --persist-cache); deep as_of replays then start at "
-        "the nearest checkpoint",
-    )
-    batch.add_argument(
-        "--max-latency",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="anytime SLA for the randomised jobs: stop sampling after "
-        "SECONDS and report the running estimate with its interval",
-    )
-    batch.add_argument(
-        "--max-error",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="anytime SLA for the randomised jobs: stop sampling once the "
-        "interval is relatively tighter than FRACTION",
-    )
-    batch.add_argument(
-        "--calibrate-from",
-        metavar="FILE",
-        default=None,
-        help="job file of held-out calibration jobs; every randomised one "
-        "is run both sampled and exactly, and the residuals conformally "
-        "calibrate the intervals of the batch's anytime jobs",
-    )
+    _add_engine_arguments(batch)
 
     serve = subparsers.add_parser(
         "serve",
         help="serve a job stream through the sharded async server",
     )
+    serve.set_defaults(run=_run_serve)
     serve.add_argument(
         "--jobs",
         required=True,
@@ -231,33 +266,22 @@ def build_parser() -> argparse.ArgumentParser:
         default="wait",
         help="what a full queue does to the submitter (default: wait)",
     )
-    serve.add_argument(
-        "--persist-cache",
-        metavar="DIR",
-        default=None,
+    _add_store_argument(
+        serve,
+        required=False,
         help="directory for the persistent selector/decomposition caches",
     )
     serve.add_argument(
         "--cache-max-entries",
         type=int,
-        default=None,
         metavar="N",
         help="GC bound: keep at most N entries per on-disk cache layer",
     )
     serve.add_argument(
         "--cache-max-age",
         type=float,
-        default=None,
         metavar="SECONDS",
         help="GC bound: evict on-disk entries older than SECONDS",
-    )
-    serve.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="K",
-        help="each shard cuts a compaction checkpoint every K effective "
-        "deltas of an owned name (requires --persist-cache)",
     )
     serve.add_argument(
         "--auto-checkpoint",
@@ -270,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-max-bytes",
         type=int,
-        default=None,
         metavar="BYTES",
         help="GC bound: one global byte budget for the shared store, "
         "split between the entry kinds by observed hit-rate-per-byte",
@@ -278,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--rebalance-interval",
         type=float,
-        default=None,
         metavar="SECONDS",
         help="run the load rebalancer every SECONDS, moving hot database "
         "names to cold shards with a warm cache handoff (default: off)",
@@ -299,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--http",
         type=int,
-        default=None,
         metavar="PORT",
         help="serve the HTTP network front on PORT instead of streaming "
         "results to stdout (0 picks a free port; the bound address is "
@@ -311,34 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="127.0.0.1",
         help="bind address for --http (default 127.0.0.1)",
     )
-    serve.add_argument(
-        "--max-latency",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="anytime SLA applied to every randomised count job: stop "
-        "sampling after SECONDS and serve the interval",
-    )
-    serve.add_argument(
-        "--max-error",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="anytime SLA applied to every randomised count job: refine "
-        "until the interval is relatively tighter than FRACTION",
-    )
-    serve.add_argument(
-        "--calibrate-from",
-        metavar="FILE",
-        default=None,
-        help="job file of held-out calibration jobs run at startup; the "
-        "residuals conformally calibrate served anytime intervals",
-    )
+    _add_engine_arguments(serve)
 
     range_command = subparsers.add_parser(
         "range",
         help="count one query against every recorded version in a range",
     )
+    range_command.set_defaults(run=_run_range)
     range_command.add_argument(
         "name", help="registration name whose recorded versions to query"
     )
@@ -346,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--from",
         dest="ref_lo",
         required=True,
+        type=_parse_snapshot_ref,
         metavar="REF",
         help="first version: a recorded content digest (or unique "
         ">=8-character prefix), or a non-positive chain index like -5",
@@ -354,46 +355,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--to",
         dest="ref_hi",
         required=True,
+        type=_parse_snapshot_ref,
         metavar="REF",
         help="last version (inclusive; same reference syntax as --from); "
         "swap the endpoints for newest-first output",
     )
     _add_instance_arguments(range_command)
     _add_query_arguments(range_command)
-    range_command.add_argument(
-        "--answer", help="comma-separated answer tuple for non-Boolean queries"
-    )
-    range_command.add_argument(
-        "--method",
-        default="auto",
-        choices=["auto", "naive", "certificate", "inclusion-exclusion",
-                 "enumeration", "fpras", "karp-luby"],
-    )
-    range_command.add_argument("--epsilon", type=float, default=0.1)
-    range_command.add_argument("--delta", type=float, default=0.05)
-    range_command.add_argument(
-        "--seed", type=int, default=None, help="seed for the randomised methods"
-    )
-    range_command.add_argument(
-        "--persist-cache",
-        required=True,
-        metavar="DIR",
-        help="store directory whose snapshot catalog holds the lineage "
-        "(the same directory batch/serve persist into)",
-    )
+    _add_method_arguments(range_command)
+    _add_store_argument(range_command, required=True, help=_LINEAGE_STORE_HELP)
 
     history = subparsers.add_parser(
         "history",
         help="show the recorded snapshot lineage of a database name",
     )
+    history.set_defaults(run=_run_history)
     history.add_argument("name", help="registration name the lineage belongs to")
-    history.add_argument(
-        "--persist-cache",
-        required=True,
-        metavar="DIR",
-        help="store directory whose snapshot catalog holds the lineage "
-        "(the same directory batch/serve persist into)",
-    )
+    _add_store_argument(history, required=True, help=_LINEAGE_STORE_HELP)
     history.add_argument(
         "--limit",
         type=int,
@@ -418,17 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
         "rollback",
         help="re-register a recorded ancestor snapshot as the head",
     )
+    rollback.set_defaults(run=_run_rollback)
     rollback.add_argument("name", help="registration name to roll back")
     rollback.add_argument(
         "digest",
+        type=_parse_snapshot_ref,
         help="ancestor reference: a recorded content digest (or unique "
         ">=8-character prefix), or a non-positive chain index like -2",
     )
     _add_instance_arguments(rollback)
-    rollback.add_argument(
-        "--persist-cache",
+    _add_store_argument(
+        rollback,
         required=True,
-        metavar="DIR",
         help="store directory holding the name's snapshot catalog; the "
         "rollback is recorded there as a new lineage head",
     )
@@ -443,12 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpoint",
         help="persist the current head snapshot as a compaction checkpoint",
     )
+    checkpoint.set_defaults(run=_run_checkpoint)
     checkpoint.add_argument("name", help="registration name to checkpoint")
     _add_instance_arguments(checkpoint)
-    checkpoint.add_argument(
-        "--persist-cache",
+    _add_store_argument(
+        checkpoint,
         required=True,
-        metavar="DIR",
         help="store directory holding the name's snapshot catalog; the "
         "full snapshot is persisted there and the chain position marked",
     )
@@ -457,31 +436,28 @@ def build_parser() -> argparse.ArgumentParser:
         "gc",
         help="garbage-collect a persistent store directory offline",
     )
-    gc.add_argument(
-        "--persist-cache",
+    gc.set_defaults(run=_run_gc)
+    _add_store_argument(
+        gc,
         required=True,
-        metavar="DIR",
         help="store directory to collect (the same directory batch/serve "
         "persist into)",
     )
     gc.add_argument(
         "--max-entries",
         type=int,
-        default=None,
         metavar="N",
         help="keep at most N entries per on-disk cache layer",
     )
     gc.add_argument(
         "--max-age",
         type=float,
-        default=None,
         metavar="SECONDS",
         help="evict entries older than SECONDS",
     )
     gc.add_argument(
         "--max-bytes",
         type=int,
-        default=None,
         metavar="BYTES",
         help="one global byte budget across the entry kinds "
         "(*.sel/*.dec/*.snp/*.cal), split by observed hit-rate-per-byte",
@@ -501,6 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         "update",
         help="apply a delta (inserted/deleted facts) to a stored database",
     )
+    update.set_defaults(run=_run_update)
     _add_instance_arguments(update)
     update.add_argument(
         "--delta",
@@ -531,73 +508,130 @@ def _parse_answer(text: Optional[str]) -> tuple:
     return tuple(values)
 
 
-def _check_sla_flags(arguments: argparse.Namespace) -> None:
-    """Shared validation of the anytime SLA flags (batch and serve)."""
-    if arguments.max_latency is not None and arguments.max_latency <= 0:
-        raise ReproError(f"--max-latency must be > 0, got {arguments.max_latency}")
-    if arguments.max_error is not None and arguments.max_error <= 0:
-        raise ReproError(f"--max-error must be > 0, got {arguments.max_error}")
+def _solver(arguments: argparse.Namespace) -> CQASolver:
+    """A solver over the command's instance, seeded by ``--seed`` if given."""
+    database, keys = _load_instance(arguments)
+    return CQASolver(database, keys, rng=getattr(arguments, "seed", None))
 
 
-def _with_sla(item, max_latency, max_error):
+def _run_inspect(arguments: argparse.Namespace) -> int:
+    solver = _solver(arguments)
+    database, decomposition = solver.database, solver.decomposition
+    print(f"facts: {len(database)}")
+    print(f"relations: {', '.join(database.relation_names())}")
+    print(f"keys: {', '.join(str(constraint) for constraint in solver.keys) or '<none>'}")
+    print(f"blocks: {len(decomposition)}")
+    print(f"conflicting blocks: {len(decomposition.conflicting_blocks())}")
+    print(f"consistent: {decomposition.is_consistent()}")
+    print(f"total repairs: {decomposition.total_repairs()}")
+    return 0
+
+
+def _run_repairs(arguments: argparse.Namespace) -> int:
+    solver = _solver(arguments)
+    print(f"total repairs: {solver.total_repairs()}")
+    for index, repair in enumerate(solver.repairs(limit=arguments.list)):
+        print(f"--- repair {index}")
+        for item in repair.sorted_facts():
+            print(f"  {item}")
+    return 0
+
+
+def _run_decide(arguments: argparse.Namespace) -> int:
+    solver = _solver(arguments)
+    entailed = solver.entails_some_repair(
+        _parse_cli_query(arguments), _parse_answer(arguments.answer)
+    )
+    print("entailed by some repair" if entailed else "entailed by no repair")
+    return 0
+
+
+def _run_count(arguments: argparse.Namespace) -> int:
+    solver = _solver(arguments)
+    result = solver.count(
+        _parse_cli_query(arguments),
+        answer=_parse_answer(arguments.answer),
+        method=arguments.method,
+        epsilon=arguments.epsilon,
+        delta=arguments.delta,
+    )
+    print(result)
+    return 0
+
+
+def _run_rank(arguments: argparse.Namespace) -> int:
+    solver = _solver(arguments)
+    ranking = solver.answer_ranking(_parse_cli_query(arguments))
+    if arguments.top:
+        ranking = ranking[: arguments.top]
+    for entry in ranking:
+        print(entry)
+    return 0
+
+
+def _with_sla(item, arguments: argparse.Namespace):
     """Apply the CLI's SLA knobs to one stream item.
 
     Only randomised count jobs are touched (exact methods reject the
     knobs by contract); jobs carrying their own knobs keep them.
     """
-    from dataclasses import replace
-
     from .engine import CountJob
 
     if not isinstance(item, CountJob) or not item.is_randomised:
         return item
     knobs = {}
-    if max_latency is not None and item.max_latency is None:
-        knobs["max_latency"] = max_latency
-    if max_error is not None and item.max_error is None:
-        knobs["max_error"] = max_error
+    if arguments.max_latency is not None and item.max_latency is None:
+        knobs["max_latency"] = arguments.max_latency
+    if arguments.max_error is not None and item.max_error is None:
+        knobs["max_error"] = arguments.max_error
     return replace(item, **knobs) if knobs else item
+
+
+def _engine_inputs(arguments: argparse.Namespace, require_jobs: bool) -> tuple:
+    """Validate the engine flags of batch/serve and load their job files.
+
+    Returns ``(databases, jobs, held_out)``: the databases of both files,
+    the job file's items with the SLA flags applied, and the held-out
+    count jobs (``None`` without ``--calibrate-from``).
+    """
+    from .engine import CountJob, load_job_file
+
+    if arguments.checkpoint_every is not None:
+        if arguments.checkpoint_every < 1:
+            raise ReproError("--checkpoint-every must be >= 1")
+        if not arguments.persist_cache:
+            raise ReproError("--checkpoint-every requires --persist-cache")
+    if arguments.max_latency is not None and arguments.max_latency <= 0:
+        raise ReproError(f"--max-latency must be > 0, got {arguments.max_latency}")
+    if arguments.max_error is not None and arguments.max_error <= 0:
+        raise ReproError(f"--max-error must be > 0, got {arguments.max_error}")
+    databases, jobs = load_job_file(arguments.jobs, require_jobs=require_jobs)
+    held_out = None
+    if arguments.calibrate_from:
+        held_out_databases, held_out_items = load_job_file(arguments.calibrate_from)
+        for name, pair in held_out_databases.items():
+            databases.setdefault(name, pair)
+        held_out = [item for item in held_out_items if isinstance(item, CountJob)]
+    return databases, [_with_sla(item, arguments) for item in jobs], held_out
 
 
 def _run_batch(arguments: argparse.Namespace) -> int:
     """The ``batch`` command: load a job file, run it, print a JSON report."""
     # Imported lazily: the engine pulls in the process-pool machinery, which
     # the single-query commands never need.
-    from .engine import CountJob, SolverPool, load_job_file
+    from .engine import SolverPool
 
-    try:
-        if arguments.checkpoint_every is not None:
-            if arguments.checkpoint_every < 1:
-                raise ReproError("--checkpoint-every must be >= 1")
-            if not arguments.persist_cache:
-                raise ReproError("--checkpoint-every requires --persist-cache")
-        _check_sla_flags(arguments)
-        databases, jobs = load_job_file(arguments.jobs)
-        if arguments.max_latency is not None or arguments.max_error is not None:
-            jobs = [
-                _with_sla(item, arguments.max_latency, arguments.max_error)
-                for item in jobs
-            ]
-        pool = SolverPool(
-            persist_dir=arguments.persist_cache,
-            checkpoint_every=arguments.checkpoint_every,
-        )
-        for name, (database, keys) in databases.items():
-            pool.register(name, database, keys)
-        calibration = None
-        if arguments.calibrate_from:
-            held_out_databases, held_out = load_job_file(arguments.calibrate_from)
-            for name, (database, keys) in held_out_databases.items():
-                if name not in databases:
-                    pool.register(name, database, keys)
-            calibration = pool.calibrate_from(
-                [item for item in held_out if isinstance(item, CountJob)]
-            )
-        report = pool.run_stream(jobs, workers=arguments.workers)
-    except ReproError as exc:
-        print(f"batch: {exc}", file=sys.stderr)
-        return 2
-    document = report.to_json()
+    databases, jobs, held_out = _engine_inputs(arguments, require_jobs=True)
+    pool = SolverPool(
+        persist_dir=arguments.persist_cache,
+        checkpoint_every=arguments.checkpoint_every,
+    )
+    for name, (database, keys) in databases.items():
+        pool.register(name, database, keys)
+    calibration = None
+    if held_out is not None:
+        calibration = pool.calibrate_from(held_out)
+    document = pool.run_stream(jobs, workers=arguments.workers).to_json()
     if calibration is not None:
         document["calibration"] = calibration
     print(json.dumps(document, indent=arguments.indent))
@@ -621,74 +655,43 @@ def _run_serve(arguments: argparse.Namespace) -> int:
     """
     import asyncio
 
-    from .engine import CountJob, UpdateReport, load_job_file, parse_stream_item
-    from .server import AsyncServer
+    from .engine import UpdateReport, parse_stream_item
+    from .server import AsyncServer, HttpServer
+    from .store import AdaptiveCheckpointPolicy
 
-    try:
+    if arguments.auto_checkpoint:
         if arguments.checkpoint_every is not None:
-            if arguments.checkpoint_every < 1:
-                raise ReproError("--checkpoint-every must be >= 1")
-            if not arguments.persist_cache:
-                raise ReproError("--checkpoint-every requires --persist-cache")
-        if arguments.auto_checkpoint:
-            if arguments.checkpoint_every is not None:
-                raise ReproError(
-                    "--auto-checkpoint and --checkpoint-every are "
-                    "mutually exclusive"
-                )
-            if not arguments.persist_cache:
-                raise ReproError("--auto-checkpoint requires --persist-cache")
-        if arguments.cache_max_bytes is not None:
-            if arguments.cache_max_bytes < 0:
-                raise ReproError("--cache-max-bytes must be >= 0")
-            if not arguments.persist_cache:
-                raise ReproError("--cache-max-bytes requires --persist-cache")
-        _check_sla_flags(arguments)
-        if arguments.http is not None and arguments.stdin:
-            raise ReproError("--http and --stdin are mutually exclusive")
-        databases, file_jobs = load_job_file(
-            arguments.jobs,
-            require_jobs=not (arguments.stdin or arguments.http is not None),
-        )
-        if arguments.http is not None and file_jobs:
             raise ReproError(
-                "--http serves jobs over the network; the job file must "
-                f"only declare databases (found {len(file_jobs)} jobs)"
+                "--auto-checkpoint and --checkpoint-every are "
+                "mutually exclusive"
             )
-        held_out_jobs = []
-        if arguments.calibrate_from:
-            held_out_databases, held_out = load_job_file(arguments.calibrate_from)
-            for name, pair in held_out_databases.items():
-                databases.setdefault(name, pair)
-            held_out_jobs = [
-                item for item in held_out if isinstance(item, CountJob)
-            ]
-    except ReproError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
+        if not arguments.persist_cache:
+            raise ReproError("--auto-checkpoint requires --persist-cache")
+    if arguments.cache_max_bytes is not None:
+        if arguments.cache_max_bytes < 0:
+            raise ReproError("--cache-max-bytes must be >= 0")
+        if not arguments.persist_cache:
+            raise ReproError("--cache-max-bytes requires --persist-cache")
+    if arguments.http is not None and arguments.stdin:
+        raise ReproError("--http and --stdin are mutually exclusive")
+    databases, file_jobs, held_out = _engine_inputs(
+        arguments, require_jobs=not (arguments.stdin or arguments.http is not None)
+    )
+    if arguments.http is not None and file_jobs:
+        raise ReproError(
+            "--http serves jobs over the network; the job file must "
+            f"only declare databases (found {len(file_jobs)} jobs)"
+        )
 
     def stream_items():
-        for item in file_jobs:
-            yield _with_sla(item, arguments.max_latency, arguments.max_error)
+        yield from file_jobs
         if arguments.stdin:
             for line in sys.stdin:
                 line = line.strip()
                 if not line:
                     continue
-                payload = json.loads(line)
-                item = parse_stream_item(payload)
-                if item.database not in databases:
-                    raise ReproError(
-                        f"job references unknown database {item.database!r}; "
-                        f"declared: {sorted(databases)}"
-                    )
-                yield _with_sla(item, arguments.max_latency, arguments.max_error)
-
-    checkpoint_policy = None
-    if arguments.auto_checkpoint:
-        from .store import AdaptiveCheckpointPolicy
-
-        checkpoint_policy = AdaptiveCheckpointPolicy()
+                # The server rejects a job for an undeclared database.
+                yield _with_sla(parse_stream_item(json.loads(line)), arguments)
 
     async def _serve() -> int:
         server = AsyncServer(
@@ -700,21 +703,21 @@ def _run_serve(arguments: argparse.Namespace) -> int:
             persist_max_age=arguments.cache_max_age,
             persist_max_bytes=arguments.cache_max_bytes,
             checkpoint_every=arguments.checkpoint_every,
-            checkpoint_policy=checkpoint_policy,
+            checkpoint_policy=(
+                AdaptiveCheckpointPolicy() if arguments.auto_checkpoint else None
+            ),
             rebalance_interval=arguments.rebalance_interval,
             max_imbalance=arguments.max_imbalance,
         )
         for name, (database, keys) in databases.items():
             server.register(name, database, keys)
         async with server:
-            if held_out_jobs:
-                calibration = await server.calibrate_from(held_out_jobs)
+            if held_out:
+                calibration = await server.calibrate_from(held_out)
                 print(
                     json.dumps({"calibration": calibration}), file=sys.stderr
                 )
             if arguments.http is not None:
-                from .server import HttpServer
-
                 async with HttpServer(
                     server, host=arguments.host, port=arguments.http
                 ) as front:
@@ -743,9 +746,6 @@ def _run_serve(arguments: argparse.Namespace) -> int:
         # The expected way to stop `serve --http`: a clean exit, with the
         # asyncio.run teardown having stopped shards and connections.
         return 0
-    except (ReproError, json.JSONDecodeError) as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
 
 
 def _run_history(arguments: argparse.Namespace) -> int:
@@ -764,33 +764,29 @@ def _run_history(arguments: argparse.Namespace) -> int:
     from .store import SnapshotCatalog
 
     if arguments.limit < 0:
-        print(
-            f"history: --limit must be >= 0, got {arguments.limit}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ReproError(f"--limit must be >= 0, got {arguments.limit}")
     if arguments.json and arguments.json_lines:
-        print("history: pass --json or --json-lines, not both", file=sys.stderr)
-        return 2
+        raise ReproError("pass --json or --json-lines, not both")
     catalog = SnapshotCatalog(arguments.persist_cache)
     lineage = catalog.lineage(arguments.name)
     if not len(lineage):
-        print(
-            f"history: no recorded lineage for {arguments.name!r} in "
-            f"{arguments.persist_cache}",
-            file=sys.stderr,
+        raise ReproError(
+            f"no recorded lineage for {arguments.name!r} in "
+            f"{arguments.persist_cache}"
         )
-        return 2
     checkpointed = {
         record.sequence for record in catalog.checkpoints(arguments.name, lineage)
     }
+    head = lineage.head
+    compacted_total = sum(
+        1 for record in lineage if getattr(record, "compacted", None) is not None
+    )
     records = list(lineage)
     elided = 0
     if arguments.limit:
         elided = max(0, len(records) - arguments.limit)
         records = records[-arguments.limit:]
     if arguments.json:
-        head = lineage.head
         document = {
             "name": arguments.name,
             "records": [
@@ -804,11 +800,7 @@ def _run_history(arguments: argparse.Namespace) -> int:
             "versions": len(lineage),
             "checkpoints": sorted(checkpointed),
             "elided": elided,
-            "compacted": sum(
-                1
-                for record in lineage
-                if getattr(record, "compacted", None) is not None
-            ),
+            "compacted": compacted_total,
         }
         print(json.dumps(document))
         return 0
@@ -838,10 +830,6 @@ def _run_history(arguments: argparse.Namespace) -> int:
             f"{record.digest[:12]}  parent {parent:<12}  {change:<8}  "
             f"{stamp.strftime('%Y-%m-%dT%H:%M:%SZ')}"
         )
-    head = lineage.head
-    compacted_total = sum(
-        1 for record in lineage if getattr(record, "compacted", None) is not None
-    )
     print(
         f"head: {head.digest} ({len(lineage)} recorded version(s), "
         f"{len(checkpointed)} checkpoint(s))"
@@ -856,7 +844,7 @@ def _run_history(arguments: argparse.Namespace) -> int:
 
 
 def _parse_snapshot_ref(text: str) -> object:
-    """Parse one CLI snapshot reference (rollback/range share the rule).
+    """Parse one snapshot reference (argparse ``type`` of rollback/range).
 
     Non-positive integers are chain indices ("-2" = two versions ago);
     anything else — including all-digit digest prefixes, which are
@@ -868,6 +856,40 @@ def _parse_snapshot_ref(text: str) -> object:
     except ValueError:
         pass
     return text
+
+
+def _head_pool(arguments: argparse.Namespace, reference: object = None):
+    """A :class:`SolverPool` holding the input instance as ``arguments.name``.
+
+    The name must have a recorded lineage (a typo must not start a new
+    chain), a ``reference`` must resolve in it, and the instance must be
+    its recorded head (a stale file must never touch the wrong history).
+    """
+    from .engine import SolverPool
+    from .store import SnapshotCatalog
+
+    database, keys = _load_instance(arguments)
+    chain = SnapshotCatalog(arguments.persist_cache).lineage(arguments.name)
+    head = chain.head
+    if head is None:
+        raise ReproError(
+            f"no recorded lineage for {arguments.name!r} in "
+            f"{arguments.persist_cache}"
+        )
+    if reference is not None:
+        chain.resolve(reference)  # unknown/ambiguous references fail here
+    if (database.content_digest(), keys.content_digest()) != (
+        head.digest,
+        head.keys_digest,
+    ):
+        raise ReproError(
+            f"the provided snapshot ({database.content_digest()[:12]}) "
+            f"is not the recorded head of {arguments.name!r} "
+            f"({head.digest[:12]}); pass the current head database"
+        )
+    pool = SolverPool(persist_dir=arguments.persist_cache)
+    pool.register(arguments.name, database, keys)
+    return pool
 
 
 def _run_range(arguments: argparse.Namespace) -> int:
@@ -882,64 +904,27 @@ def _run_range(arguments: argparse.Namespace) -> int:
     document per version in range order, failed versions in band as
     ``{"index": …, "error": …}``, then a summary line on stderr.
     """
-    from .engine import CountJob, SolverPool
-    from .engine.executor import RangeFailure
-    from .store import SnapshotCatalog
+    from .engine import CountJob, RangeFailure
+    from .server.wire import payload_for_error
 
-    database, keys = _load_instance(arguments)
-    try:
-        chain = SnapshotCatalog(arguments.persist_cache).lineage(arguments.name)
-        head = chain.head
-        if head is None:
-            raise ReproError(
-                f"no recorded lineage for {arguments.name!r} in "
-                f"{arguments.persist_cache}"
-            )
-        if (
-            database.content_digest(),
-            keys.content_digest(),
-        ) != (head.digest, head.keys_digest):
-            raise ReproError(
-                f"the provided snapshot ({database.content_digest()[:12]}) "
-                f"is not the recorded head of {arguments.name!r} "
-                f"({head.digest[:12]}); pass the current head database"
-            )
-        answer = _parse_answer(arguments.answer)
-        job = CountJob(
-            database=arguments.name,
-            query=arguments.query,
-            answer=answer,
-            answer_variables=tuple(
-                name.strip()
-                for name in (arguments.answer_vars or "").split(",")
-                if name.strip()
-            ),
-            method=arguments.method,
-            epsilon=arguments.epsilon,
-            delta=arguments.delta,
-            seed=arguments.seed,
-            as_of_range=(
-                _parse_snapshot_ref(arguments.ref_lo),
-                _parse_snapshot_ref(arguments.ref_hi),
-            ),
-        )
-        pool = SolverPool(persist_dir=arguments.persist_cache)
-        pool.register(arguments.name, database, keys)
-        outcomes = pool.run_range(job)
-    except ReproError as exc:
-        print(f"range: {exc}", file=sys.stderr)
-        return 2
+    pool = _head_pool(arguments)
+    job = CountJob(
+        database=arguments.name,
+        query=arguments.query,
+        answer=_parse_answer(arguments.answer),
+        answer_variables=_answer_variables(arguments),
+        method=arguments.method,
+        epsilon=arguments.epsilon,
+        delta=arguments.delta,
+        seed=arguments.seed,
+        as_of_range=(arguments.ref_lo, arguments.ref_hi),
+    )
+    outcomes = pool.run_range(job)
     failures = 0
     for outcome in outcomes:
         if isinstance(outcome, RangeFailure):
             failures += 1
-            payload = {
-                "index": outcome.index,
-                "error": {
-                    "type": type(outcome.error).__name__,
-                    "message": str(outcome.error),
-                },
-            }
+            payload = {"index": outcome.index, **payload_for_error(outcome.error)}
         else:
             payload = outcome.to_json()
         print(json.dumps(payload), flush=True)
@@ -960,38 +945,12 @@ def _run_checkpoint(arguments: argparse.Namespace) -> int:
     chain position in the catalog.  Later deep ``as_of`` replays — by any
     process sharing the store — start at this checkpoint.
     """
-    from .engine import SolverPool
-    from .store import SnapshotCatalog
-
-    database, keys = _load_instance(arguments)
-    try:
-        chain = SnapshotCatalog(arguments.persist_cache).lineage(arguments.name)
-        head = chain.head
-        if head is None:
-            # A typo'd name must not pollute the catalog with a new chain.
-            raise ReproError(
-                f"no recorded lineage for {arguments.name!r} in "
-                f"{arguments.persist_cache}"
-            )
-        if (
-            database.content_digest(),
-            keys.content_digest(),
-        ) != (head.digest, head.keys_digest):
-            raise ReproError(
-                f"the provided snapshot ({database.content_digest()[:12]}) "
-                f"is not the recorded head of {arguments.name!r} "
-                f"({head.digest[:12]}); pass the current head database"
-            )
-        pool = SolverPool(persist_dir=arguments.persist_cache)
-        pool.register(arguments.name, database, keys)
-        record = pool.checkpoint(arguments.name)
-        if record is None:
-            raise ReproError(
-                f"the snapshot of {arguments.name!r} could not be persisted"
-            )
-    except ReproError as exc:
-        print(f"checkpoint: {exc}", file=sys.stderr)
-        return 2
+    pool = _head_pool(arguments)
+    record = pool.checkpoint(arguments.name)
+    if record is None:
+        raise ReproError(
+            f"the snapshot of {arguments.name!r} could not be persisted"
+        )
     print(f"checkpointed: #{record.sequence} {record.digest}")
     print(f"checkpoints: {len(pool.checkpoints(arguments.name))}")
     return 0
@@ -1012,42 +971,12 @@ def _run_rollback(arguments: argparse.Namespace) -> int:
     move the persisted lineage.
     """
     from .db import save_json
-    from .engine import SolverPool
-    from .store import SnapshotCatalog
 
-    database, keys = _load_instance(arguments)
-    reference = _parse_snapshot_ref(arguments.digest)
-    try:
-        chain = SnapshotCatalog(arguments.persist_cache).lineage(arguments.name)
-        if not len(chain):
-            raise ReproError(
-                f"no recorded lineage for {arguments.name!r} in "
-                f"{arguments.persist_cache}"
-            )
-        chain.resolve(reference)  # unknown/ambiguous references fail here
-        head = chain.head
-        if (database.content_digest(), keys.content_digest()) != (
-            head.digest,
-            head.keys_digest,
-        ):
-            raise ReproError(
-                f"the provided snapshot ({database.content_digest()[:12]}) "
-                f"is not the recorded head of {arguments.name!r} "
-                f"({head.digest[:12]}); pass the current head database"
-            )
-        pool = SolverPool(persist_dir=arguments.persist_cache)
-        pool.register(arguments.name, database, keys)
-        old_digest = pool.snapshot_token(arguments.name)[0]
-        record = pool.rollback(arguments.name, reference)
-        rolled_back, _ = pool.lookup(arguments.name)
-    except ReproError as exc:
-        print(f"rollback: {exc}", file=sys.stderr)
-        return 2
-    try:
-        save_json(rolled_back, arguments.output, keys)
-    except OSError as exc:
-        print(f"rollback: cannot write {arguments.output}: {exc}", file=sys.stderr)
-        return 2
+    pool = _head_pool(arguments, arguments.digest)
+    old_digest = pool.snapshot_token(arguments.name)[0]
+    record = pool.rollback(arguments.name, arguments.digest)
+    rolled_back, keys = pool.lookup(arguments.name)
+    save_json(rolled_back, arguments.output, keys)
     print(f"old head: {old_digest}")
     print(f"new head: {record.digest}")
     print(f"recorded: #{record.sequence} ({record.kind})")
@@ -1069,41 +998,35 @@ def _run_gc(arguments: argparse.Namespace) -> int:
     from .engine.cache_coordinator import CacheCoordinator
     from .store import SnapshotCatalog
 
-    try:
-        if (
-            arguments.max_entries is None
-            and arguments.max_age is None
-            and arguments.max_bytes is None
-        ):
-            raise ReproError(
-                "pass at least one bound: --max-entries, --max-age "
-                "or --max-bytes"
-            )
-        if arguments.max_entries is not None and arguments.max_entries < 0:
-            raise ReproError("--max-entries must be >= 0")
-        if arguments.max_age is not None and arguments.max_age < 0:
-            raise ReproError("--max-age must be >= 0")
-        if arguments.max_bytes is not None and arguments.max_bytes < 0:
-            raise ReproError("--max-bytes must be >= 0")
-        caches = CacheCoordinator(persist_dir=arguments.persist_cache)
-        catalog = SnapshotCatalog(arguments.persist_cache)
-        pinned = []
-        for name in arguments.pin or []:
-            head = catalog.lineage(name).head
-            if head is None:
-                raise ReproError(
-                    f"cannot pin {name!r}: no recorded lineage in "
-                    f"{arguments.persist_cache}"
-                )
-            pinned.append((head.digest, head.keys_digest))
-        caches.set_pinned_tokens(pinned)
-        plan = caches.plan_byte_budget(arguments.max_bytes)
-        evictions = caches.collect_garbage(
-            arguments.max_entries, arguments.max_age, arguments.max_bytes
+    bounds = {
+        "--max-entries": arguments.max_entries,
+        "--max-age": arguments.max_age,
+        "--max-bytes": arguments.max_bytes,
+    }
+    if all(bound is None for bound in bounds.values()):
+        raise ReproError(
+            "pass at least one bound: --max-entries, --max-age "
+            "or --max-bytes"
         )
-    except ReproError as exc:
-        print(f"gc: {exc}", file=sys.stderr)
-        return 2
+    for flag, bound in bounds.items():
+        if bound is not None and bound < 0:
+            raise ReproError(f"{flag} must be >= 0")
+    caches = CacheCoordinator(persist_dir=arguments.persist_cache)
+    catalog = SnapshotCatalog(arguments.persist_cache)
+    pinned = []
+    for name in arguments.pin or []:
+        head = catalog.lineage(name).head
+        if head is None:
+            raise ReproError(
+                f"cannot pin {name!r}: no recorded lineage in "
+                f"{arguments.persist_cache}"
+            )
+        pinned.append((head.digest, head.keys_digest))
+    caches.set_pinned_tokens(pinned)
+    plan = caches.plan_byte_budget(arguments.max_bytes)
+    evictions = caches.collect_garbage(
+        arguments.max_entries, arguments.max_age, arguments.max_bytes
+    )
     document = {
         "store": str(arguments.persist_cache),
         "pinned": list(arguments.pin or []),
@@ -1127,28 +1050,16 @@ def _run_update(arguments: argparse.Namespace) -> int:
     database, keys = _load_instance(arguments)
     try:
         payload = json.loads(Path(arguments.delta).read_text())
-    except OSError as exc:
-        print(f"update: cannot read delta file: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
-        print(f"update: delta file is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    try:
-        delta = Delta.from_json(payload)
-        really_inserted, really_deleted = delta.effective_against(database)
-        touched_blocks = len(
-            {keys.key_value(item) for item in really_inserted + really_deleted}
-        )
-        snapshot = database.freeze()
-        updated = snapshot.apply_delta(delta)
-    except ReproError as exc:
-        print(f"update: {exc}", file=sys.stderr)
-        return 2
-    try:
-        save_json(updated, arguments.output, keys)
-    except OSError as exc:
-        print(f"update: cannot write {arguments.output}: {exc}", file=sys.stderr)
-        return 2
+        raise ReproError(f"delta file is not valid JSON: {exc}") from exc
+    delta = Delta.from_json(payload)
+    really_inserted, really_deleted = delta.effective_against(database)
+    touched_blocks = len(
+        {keys.key_value(item) for item in really_inserted + really_deleted}
+    )
+    snapshot = database.freeze()
+    updated = snapshot.apply_delta(delta)
+    save_json(updated, arguments.output, keys)
     print(f"facts: {len(snapshot)} -> {len(updated)}")
     print(f"inserted: {len(really_inserted)} (of {len(delta.inserted)} requested)")
     print(f"deleted: {len(really_deleted)} (of {len(delta.deleted)} requested)")
@@ -1160,83 +1071,17 @@ def _run_update(arguments: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
-    parser = build_parser()
-    arguments = parser.parse_args(argv)
+    """Entry point; returns the process exit code.
 
-    if arguments.command == "batch":
-        return _run_batch(arguments)
-
-    if arguments.command == "serve":
-        return _run_serve(arguments)
-
-    if arguments.command == "range":
-        return _run_range(arguments)
-
-    if arguments.command == "history":
-        return _run_history(arguments)
-
-    if arguments.command == "rollback":
-        return _run_rollback(arguments)
-
-    if arguments.command == "checkpoint":
-        return _run_checkpoint(arguments)
-
-    if arguments.command == "gc":
-        return _run_gc(arguments)
-
-    if arguments.command == "update":
-        return _run_update(arguments)
-
-    database, keys = _load_instance(arguments)
-    solver = CQASolver(database, keys, rng=getattr(arguments, "seed", None))
-
-    if arguments.command == "inspect":
-        decomposition = solver.decomposition
-        print(f"facts: {len(database)}")
-        print(f"relations: {', '.join(database.relation_names())}")
-        print(f"keys: {', '.join(str(constraint) for constraint in keys) or '<none>'}")
-        print(f"blocks: {len(decomposition)}")
-        print(f"conflicting blocks: {len(decomposition.conflicting_blocks())}")
-        print(f"consistent: {decomposition.is_consistent()}")
-        print(f"total repairs: {decomposition.total_repairs()}")
-        return 0
-
-    if arguments.command == "repairs":
-        print(f"total repairs: {solver.total_repairs()}")
-        for index, repair in enumerate(solver.repairs(limit=arguments.list)):
-            print(f"--- repair {index}")
-            for item in repair.sorted_facts():
-                print(f"  {item}")
-        return 0
-
-    query = _parse_cli_query(arguments)
-
-    if arguments.command == "decide":
-        entailed = solver.entails_some_repair(query, _parse_answer(arguments.answer))
-        print("entailed by some repair" if entailed else "entailed by no repair")
-        return 0
-
-    if arguments.command == "count":
-        result = solver.count(
-            query,
-            answer=_parse_answer(arguments.answer),
-            method=arguments.method,
-            epsilon=arguments.epsilon,
-            delta=arguments.delta,
-        )
-        print(result)
-        return 0
-
-    if arguments.command == "rank":
-        ranking = solver.answer_ranking(query)
-        if arguments.top:
-            ranking = ranking[: arguments.top]
-        for entry in ranking:
-            print(entry)
-        return 0
-
-    raise AssertionError(f"unhandled command {arguments.command!r}")
+    The CLI's one error boundary: a library error, a file error or invalid
+    JSON becomes a single ``<command>: <message>`` stderr line and exit 2.
+    """
+    arguments = build_parser().parse_args(argv)
+    try:
+        return arguments.run(arguments)
+    except (ReproError, OSError, json.JSONDecodeError) as exc:
+        print(f"{arguments.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -57,6 +57,34 @@ __all__ = [
 RANDOMISED_METHODS = ("fpras", "karp-luby")
 
 
+def _as_rng(rng: Optional[Union[random.Random, int]]) -> random.Random:
+    """A generator from a seed, a generator, or ``None`` (fresh entropy)."""
+    if isinstance(rng, int):
+        return random.Random(rng)
+    return random.Random() if rng is None else rng
+
+
+def _karp_luby_certificates(
+    database: Database,
+    keys: PrimaryKeySet,
+    query: Query,
+    answer: Tuple[Constant, ...],
+    decomposition: BlockDecomposition,
+    prepared: Optional[PreparedCertificates],
+) -> PreparedCertificates:
+    """The answer-bound certificates the Karp–Luby estimator samples over."""
+    if prepared is not None:
+        return prepared
+    if answer and not query.arity:
+        raise FragmentError("a Boolean query takes no answer tuple")
+    bound = bind_answer(query, answer) if query.arity else query
+    if not is_existential_positive(bound):
+        raise FragmentError(
+            "randomised estimation requires an existential positive query"
+        )
+    return prepare_certificates(database, keys, bound, decomposition=decomposition)
+
+
 @dataclass(frozen=True)
 class QueryDiagnostics:
     """Static facts about a query w.r.t. the solver's key set."""
@@ -128,7 +156,6 @@ def count_query(
     rng: Optional[Union[random.Random, int]] = None,
     decomposition: Optional[BlockDecomposition] = None,
     prepared: Optional[PreparedCertificates] = None,
-    map_fn=None,
 ) -> CQAResult:
     """The solver-free counting kernel behind :meth:`CQASolver.count`.
 
@@ -143,9 +170,6 @@ def count_query(
         A precomputed :class:`~repro.repairs.counting.PreparedCertificates`
         for the *answer-bound* query (certificate-family exact methods, the
         FPRAS selector membership and the Karp–Luby estimator all reuse it).
-    ``map_fn``
-        Optional parallel map applied across connected components of the
-        union-of-boxes computation (decomposed exact counts only).
 
     ``rng`` may be a seed or a generator; it is only consulted by the
     randomised methods, which makes seeded calls fully deterministic.
@@ -153,10 +177,6 @@ def count_query(
     if isinstance(query, str):
         query = parse_query(query)
     answer = tuple(answer)
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    elif rng is None:
-        rng = random.Random()
     if decomposition is None:
         decomposition = BlockDecomposition(database, keys)
 
@@ -169,7 +189,6 @@ def count_query(
             method=method,
             decomposition=decomposition,
             prepared=prepared,
-            map_fn=map_fn,
         )
         return CQAResult(
             satisfying=report.satisfying,
@@ -180,61 +199,40 @@ def count_query(
             details=report,
         )
 
+    rng = _as_rng(rng)
     if method == "fpras":
-        if prepared is not None:
-            scheme = CQAFpras(prepared.ucq, keys, max_samples=max_samples)
-            result: CQAFprasResult = scheme.estimate(
-                database,
-                epsilon,
-                delta,
-                answer=(),
-                rng=rng,
-                decomposition=decomposition,
-                prepared=prepared,
-            )
-        else:
-            scheme = CQAFpras(query, keys, max_samples=max_samples)
-            result = scheme.estimate(
-                database,
-                epsilon,
-                delta,
-                answer=answer,
-                rng=rng,
-                decomposition=decomposition,
-            )
-        return CQAResult(
-            satisfying=result.estimate,
-            total=result.total_repairs,
-            method="fpras",
-            is_estimate=True,
-            answer=answer,
-            details=result,
+        # Cached certificates are already answer-bound: their UCQ takes no answer.
+        scheme = CQAFpras(
+            query if prepared is None else prepared.ucq, keys, max_samples=max_samples
         )
-
-    # Karp-Luby over the certificate boxes.
-    if prepared is None:
-        bound = bind_answer(query, answer) if query.arity else query
-        if answer and not query.arity:
-            raise FragmentError("a Boolean query takes no answer tuple")
-        if not is_existential_positive(bound):
-            raise FragmentError(
-                "randomised estimation requires an existential positive query"
-            )
-        prepared = prepare_certificates(
-            database, keys, bound, decomposition=decomposition
+        result = scheme.estimate(
+            database,
+            epsilon,
+            delta,
+            answer=answer if prepared is None else (),
+            rng=rng,
+            decomposition=decomposition,
+            prepared=prepared,
         )
-    result = estimate_union_karp_luby(
-        decomposition.block_sizes(),
-        prepared.selectors,
-        epsilon,
-        delta,
-        rng=rng,
-        max_samples=max_samples,
-    )
+        total = result.total_repairs
+    else:
+        # Karp-Luby over the certificate boxes.
+        prepared = _karp_luby_certificates(
+            database, keys, query, answer, decomposition, prepared
+        )
+        result = estimate_union_karp_luby(
+            decomposition.block_sizes(),
+            prepared.selectors,
+            epsilon,
+            delta,
+            rng=rng,
+            max_samples=max_samples,
+        )
+        total = decomposition.total_repairs()
     return CQAResult(
         satisfying=result.estimate,
-        total=decomposition.total_repairs(),
-        method="karp-luby",
+        total=total,
+        method=method,
         is_estimate=True,
         answer=answer,
         details=result,
@@ -269,48 +267,28 @@ def build_sampling_plan(
     if isinstance(query, str):
         query = parse_query(query)
     answer = tuple(answer)
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    elif rng is None:
-        rng = random.Random()
+    rng = _as_rng(rng)
     if decomposition is None:
         decomposition = BlockDecomposition(database, keys)
 
     if method == "fpras":
-        if prepared is not None:
-            scheme = CQAFpras(prepared.ucq, keys, max_samples=max_samples)
-            plan = scheme.plan(
-                database,
-                epsilon,
-                delta,
-                answer=(),
-                rng=rng,
-                decomposition=decomposition,
-                prepared=prepared,
-            )
-        else:
-            scheme = CQAFpras(query, keys, max_samples=max_samples)
-            plan = scheme.plan(
-                database,
-                epsilon,
-                delta,
-                answer=answer,
-                rng=rng,
-                decomposition=decomposition,
-            )
+        scheme = CQAFpras(
+            query if prepared is None else prepared.ucq, keys, max_samples=max_samples
+        )
+        plan = scheme.plan(
+            database,
+            epsilon,
+            delta,
+            answer=answer if prepared is None else (),
+            rng=rng,
+            decomposition=decomposition,
+            prepared=prepared,
+        )
         return plan, decomposition
 
-    if prepared is None:
-        bound = bind_answer(query, answer) if query.arity else query
-        if answer and not query.arity:
-            raise FragmentError("a Boolean query takes no answer tuple")
-        if not is_existential_positive(bound):
-            raise FragmentError(
-                "randomised estimation requires an existential positive query"
-            )
-        prepared = prepare_certificates(
-            database, keys, bound, decomposition=decomposition
-        )
+    prepared = _karp_luby_certificates(
+        database, keys, query, answer, decomposition, prepared
+    )
     plan = karp_luby_plan(
         decomposition.block_sizes(),
         prepared.selectors,
@@ -416,9 +394,7 @@ class CQASolver:
     ) -> None:
         self._database = database
         self._keys = keys
-        if isinstance(rng, int):
-            rng = random.Random(rng)
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = _as_rng(rng)
         self._decomposition = BlockDecomposition(database, keys)
 
     # ------------------------------------------------------------------ #

@@ -148,6 +148,14 @@ def save_json(
 
 
 def load_json(path: Union[str, Path]) -> Tuple[Database, PrimaryKeySet]:
-    """Load a database (and its keys) from a JSON file written by :func:`save_json`."""
-    payload = json.loads(Path(path).read_text())
+    """Load a database (and its keys) from a JSON file written by :func:`save_json`.
+
+    A file that is not valid JSON raises :class:`~repro.errors.SchemaError`
+    naming the path.
+    """
+    text = Path(path).read_text()
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"database file {path} is not valid JSON: {exc}") from exc
     return database_from_json(payload)

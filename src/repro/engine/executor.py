@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -136,15 +136,11 @@ class JobExecutor:
         self,
         job: CountJob,
         index: int = 0,
-        component_executor: Optional[Executor] = None,
         worker_label: str = "sequential",
     ) -> JobResult:
         """Run one job against the caches and return its result.
 
-        ``component_executor`` optionally parallelises the decomposed
-        union-of-boxes count across connected components (useful for one
-        huge exact job; batches parallelise across jobs instead).  A job
-        carrying ``as_of`` runs against the referenced *historical*
+        A job carrying ``as_of`` runs against the referenced *historical*
         snapshot, materialised through the lineage service (nearest
         checkpoint or head) and served through the ordinary token-keyed
         caches.
@@ -220,7 +216,6 @@ class JobExecutor:
                 calibrated=trace.calibrated,
             )
 
-        map_fn = component_executor.map if component_executor is not None else None
         result = count_query(
             database,
             keys,
@@ -232,7 +227,6 @@ class JobExecutor:
             rng=job.effective_seed(index) if job.is_randomised else None,
             decomposition=decomposition,
             prepared=prepared,
-            map_fn=map_fn,
         )
         return JobResult(
             index=index,

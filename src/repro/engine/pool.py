@@ -35,7 +35,6 @@ checkpoint semantics in :mod:`repro.engine.lineage_service` (and
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -338,11 +337,10 @@ class SolverPool:
         self,
         job: CountJob,
         index: int = 0,
-        component_executor: Optional[Executor] = None,
         worker_label: str = "sequential",
     ) -> JobResult:
         """Run one job against the pool's caches and return its result."""
-        return self._executor.run_job(job, index, component_executor, worker_label)
+        return self._executor.run_job(job, index, worker_label)
 
     def run(
         self, jobs: Iterable[CountJob], workers: Optional[int] = None

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .selectors import Selector
 
@@ -308,9 +307,6 @@ def count_component_union(
 def count_union_decomposed(
     domain_sizes: Sequence[int],
     selectors: Sequence[Selector],
-    enumeration_limit: int = 2_000_000,
-    inclusion_exclusion_limit: int = 22,
-    map_fn: Optional[Callable[..., Iterable[int]]] = None,
 ) -> int:
     """|⋃ boxes| via complement counting over connected components.
 
@@ -325,11 +321,6 @@ def count_union_decomposed(
     ``Π_{i∈S_g}|S_i|`` minus the union counted by
     :func:`count_component_union`.
 
-    ``map_fn`` optionally replaces the builtin :func:`map` over component
-    tasks (e.g. ``ProcessPoolExecutor.map``) so independent components can
-    be counted in parallel; the mapped function is a module-level partial of
-    :func:`count_component_union` and therefore picklable.
-
     The answer returned is ``Π_i |S_i| − #avoiding``.
     """
     sizes = tuple(domain_sizes)
@@ -340,15 +331,9 @@ def count_union_decomposed(
         return _product(sizes)
 
     tasks, outside_factor = _component_tasks_from_deduped(sizes, boxes)
-    counter = partial(
-        count_component_union,
-        enumeration_limit=enumeration_limit,
-        inclusion_exclusion_limit=inclusion_exclusion_limit,
-    )
-    mapper = map if map_fn is None else map_fn
     avoiding = 1
-    for task, component_union in zip(tasks, mapper(counter, tasks)):
-        avoiding *= task.space - component_union
+    for task in tasks:
+        avoiding *= task.space - count_component_union(task)
 
     total_space = _product(sizes)
     return total_space - avoiding * outside_factor
@@ -358,17 +343,14 @@ def count_union_of_boxes(
     domain_sizes: Sequence[int],
     selectors: Sequence[Selector],
     method: str = "decomposed",
-    map_fn: Optional[Callable[..., Iterable[int]]] = None,
 ) -> int:
     """Front door for union-of-boxes counting.
 
     ``method`` is one of ``"decomposed"`` (default), ``"inclusion-exclusion"``
-    or ``"enumeration"``.  ``map_fn`` is forwarded to the decomposed engine
-    to parallelise across connected components (ignored by the two base
-    strategies, which have no independent sub-problems).
+    or ``"enumeration"``.
     """
     if method == "decomposed":
-        return count_union_decomposed(domain_sizes, selectors, map_fn=map_fn)
+        return count_union_decomposed(domain_sizes, selectors)
     if method == "inclusion-exclusion":
         return count_union_inclusion_exclusion(domain_sizes, selectors)
     if method == "enumeration":

@@ -30,7 +30,7 @@ The front door is :func:`count_repairs_satisfying`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from ..db.blocks import BlockDecomposition
 from ..db.constraints import PrimaryKeySet
@@ -195,14 +195,13 @@ def count_from_selectors(
     block_sizes: Sequence[int],
     selectors: Sequence[Selector],
     box_method: str = "decomposed",
-    map_fn: Optional[Callable[..., Iterable[int]]] = None,
 ) -> int:
     """The pure counting kernel: |⋃ boxes| over the block decomposition.
 
     Takes only primitive, picklable data (sizes and selectors), so worker
     processes can run it without a database, a solver or a query in scope.
     """
-    return count_union_of_boxes(block_sizes, selectors, method=box_method, map_fn=map_fn)
+    return count_union_of_boxes(block_sizes, selectors, method=box_method)
 
 
 def count_repairs_satisfying_certificates(
@@ -213,15 +212,13 @@ def count_repairs_satisfying_certificates(
     decomposition: Optional[BlockDecomposition] = None,
     box_method: str = "decomposed",
     prepared: Optional[PreparedCertificates] = None,
-    map_fn: Optional[Callable[..., Iterable[int]]] = None,
 ) -> Tuple[int, int]:
     """Exact #CQA via certificates and union-of-boxes counting.
 
     Returns the pair ``(satisfying, number_of_certificates)``.  Only valid
     for existential positive queries.  ``prepared`` short-circuits the
     certificate/selector computation with a cached
-    :class:`PreparedCertificates`; ``map_fn`` parallelises the decomposed
-    union count across connected components.
+    :class:`PreparedCertificates`.
     """
     if decomposition is None:
         decomposition = BlockDecomposition(database, keys)
@@ -232,7 +229,7 @@ def count_repairs_satisfying_certificates(
     if prepared.certificate_count == 0:
         return 0, 0
     satisfying = count_from_selectors(
-        decomposition.block_sizes(), prepared.selectors, box_method, map_fn=map_fn
+        decomposition.block_sizes(), prepared.selectors, box_method
     )
     return satisfying, prepared.certificate_count
 
@@ -245,7 +242,6 @@ def count_repairs_satisfying(
     method: str = "auto",
     decomposition: Optional[BlockDecomposition] = None,
     prepared: Optional[PreparedCertificates] = None,
-    map_fn: Optional[Callable[..., Iterable[int]]] = None,
 ) -> CountReport:
     """Exact #CQA with method selection; the module's front door.
 
@@ -267,8 +263,6 @@ def count_repairs_satisfying(
     prepared:
         Cached :class:`PreparedCertificates` to reuse (certificate-family
         methods only; the naive counter ignores it).
-    map_fn:
-        Optional parallel map over connected components (decomposed counts).
     """
     if method not in _EXACT_METHODS:
         raise ValueError(
@@ -304,7 +298,6 @@ def count_repairs_satisfying(
         decomposition=decomposition,
         box_method=box_method,
         prepared=prepared,
-        map_fn=map_fn,
     )
     label = "certificate" if method == "auto" else method
     return CountReport(satisfying, total, label, certificate_count, len(decomposition))

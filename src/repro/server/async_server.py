@@ -47,9 +47,9 @@ exported and adopted by the destination (whose caches are primed through
 the shared store — a warm handoff ships zero recomputations), and the
 routing table flips in one step.  Jobs for other names never stall.
 :meth:`add_shard`/:meth:`remove_shard` grow and shrink the fleet at
-runtime, and a :class:`~repro.server.rebalance.RebalancePolicy` (default
-:class:`~repro.server.rebalance.GreedyRebalancer`) can run those moves on
-a timer via ``rebalance_interval``.
+runtime, and the :class:`~repro.server.rebalance.GreedyRebalancer` can
+run those moves on a timer via ``rebalance_interval`` (:meth:`rebalance`
+takes any :class:`~repro.server.rebalance.RebalancePolicy`).
 """
 
 from __future__ import annotations
@@ -162,12 +162,12 @@ checkpoint_every, checkpoint_policy:
         A shared ``persist_dir`` is also what makes ownership handoffs
         *warm*: the destination reads the migrated name's selector and
         decomposition entries through the store instead of recomputing.
-    rebalance_interval, max_imbalance, rebalancer:
+    rebalance_interval, max_imbalance:
         Automatic rebalancing: every ``rebalance_interval`` seconds the
-        server asks its policy for moves and executes them.  The default
-        policy is :class:`~repro.server.rebalance.GreedyRebalancer`
-        with threshold ``max_imbalance`` (hottest shard over mean shard
-        load); pass ``rebalancer`` to override it.  Leave the interval
+        server asks its policy for moves and executes them.  The policy
+        is :class:`~repro.server.rebalance.GreedyRebalancer` with
+        threshold ``max_imbalance`` (hottest shard over mean shard
+        load); :meth:`rebalance` accepts another policy.  Leave the interval
         ``None`` (default) for on-demand rebalancing via
         :meth:`rebalance`.
 
@@ -203,7 +203,6 @@ checkpoint_every, checkpoint_policy:
         persist_max_bytes: Optional[int] = None,
         rebalance_interval: Optional[float] = None,
         max_imbalance: float = 2.0,
-        rebalancer: Optional[RebalancePolicy] = None,
     ) -> None:
         if shards < 1:
             raise ServerError(f"shards must be >= 1, got {shards}")
@@ -259,11 +258,7 @@ checkpoint_every, checkpoint_policy:
         self._shard_load: Dict[int, Dict[str, float]] = {}
         self._name_load: Dict[str, Dict[str, float]] = {}
         self._rebalance_interval = rebalance_interval
-        self._rebalancer = (
-            rebalancer
-            if rebalancer is not None
-            else GreedyRebalancer(max_imbalance=max_imbalance)
-        )
+        self._rebalancer = GreedyRebalancer(max_imbalance=max_imbalance)
         self._rebalance_task: Optional["asyncio.Task[None]"] = None
         self._running = False
         self.submitted = 0
@@ -904,7 +899,7 @@ checkpoint_every, checkpoint_policy:
     ) -> Tuple[Move, ...]:
         """Run one rebalancing round; returns the moves actually executed.
 
-        Asks ``policy`` (default: the server's configured rebalancer) for
+        Asks ``policy`` (default: the server's greedy rebalancer) for
         proposals against the current :meth:`load_snapshot` and executes
         them in order.  Proposals that went stale between snapshot and
         execution — the name re-homed, the destination shard removed —

@@ -119,8 +119,10 @@ class TestRankAndCsv:
     def test_bad_key_argument(self, tmp_path, employee_db):
         directory = tmp_path / "csv"
         save_csv_directory(employee_db, directory)
-        with pytest.raises(SystemExit):
-            main(["inspect", "--csv-dir", str(directory), "--key", "Employee"])
+        for key in ("Employee", "Employee=a"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["inspect", "--csv-dir", str(directory), "--key", key])
+            assert excinfo.value.code == 2
 
     def test_missing_source_is_an_error(self):
         with pytest.raises(SystemExit):
@@ -412,3 +414,56 @@ class TestServe:
         )
         assert main(["serve", "--jobs", str(path)]) == 2
         assert "jobs" in capsys.readouterr().err
+
+
+#: Malformed invocations; ``{missing}`` is a file that does not exist,
+#: ``{invalid}`` a file that is not JSON, ``{db}`` the employee database.
+_MALFORMED = {
+    "inspect-missing-file": ["inspect", "--json", "{missing}"],
+    "repairs-missing-file": ["repairs", "--json", "{missing}"],
+    "decide-missing-file": ["decide", "--json", "{missing}", "--query", _EMPLOYEE_QUERY],
+    "count-missing-file": ["count", "--json", "{missing}", "--query", _EMPLOYEE_QUERY],
+    "rank-missing-file": ["rank", "--json", "{missing}", "--query", "Employee(1, x, y)"],
+    "update-missing-file": [
+        "update", "--json", "{missing}", "--delta", "{missing}", "--output", "{out}",
+    ],
+    "range-missing-file": [
+        "range", "emp", "--from", "-1", "--to", "0", "--json", "{missing}",
+        "--query", _EMPLOYEE_QUERY, "--persist-cache", "{store}",
+    ],
+    "checkpoint-missing-file": [
+        "checkpoint", "emp", "--json", "{missing}", "--persist-cache", "{store}",
+    ],
+    "rollback-missing-file": [
+        "rollback", "emp", "f" * 64, "--json", "{missing}",
+        "--persist-cache", "{store}", "--output", "{out}",
+    ],
+    "repairs-invalid-json": ["repairs", "--json", "{invalid}"],
+    "count-unparsable-query": ["count", "--json", "{db}", "--query", "EXISTS x. R(1, x"],
+    "decide-unparsable-query": ["decide", "--json", "{db}", "--query", "EXISTS x. R(1, x"],
+    "rank-unparsable-query": ["rank", "--json", "{db}", "--query", "Employee(1, x"],
+    "count-answer-on-boolean-query": [
+        "count", "--json", "{db}", "--query", _EMPLOYEE_QUERY, "--answer", "1",
+    ],
+    "count-fpras-zero-epsilon": [
+        "count", "--json", "{db}", "--query", _EMPLOYEE_QUERY,
+        "--method", "fpras", "--epsilon", "0",
+    ],
+    "key-with-json": ["inspect", "--json", "{db}", "--key", "Employee=1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_input_exits_2_with_one_line(argv, tmp_path, employee_json, capsys):
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text("{not json")
+    paths = {
+        "missing": str(tmp_path / "missing.json"),
+        "invalid": str(invalid),
+        "db": employee_json,
+        "store": str(tmp_path / "store"),
+        "out": str(tmp_path / "out.json"),
+    }
+    assert main([part.format(**paths) for part in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1, err

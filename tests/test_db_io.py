@@ -61,3 +61,9 @@ class TestJsonRoundTrip:
         loaded, keys = database_from_json(database_to_json(employee_db))
         assert loaded.facts() == employee_db.facts()
         assert len(keys) == 0
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(SchemaError, match="broken.json is not valid JSON"):
+            load_json(path)
