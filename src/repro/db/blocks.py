@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .constraints import KeyValue, PrimaryKeySet
 from .database import Database
 from .delta import Delta
-from .facts import Fact
+from .facts import Fact, canonical_order
 
 __all__ = ["Block", "BlockDecomposition"]
 
@@ -98,7 +98,8 @@ class BlockDecomposition:
             grouped[keys.key_value(item)].append(item)
         ordered_values = sorted(grouped, key=_key_sort_token)
         blocks = tuple(
-            Block(value, tuple(sorted(grouped[value]))) for value in ordered_values
+            Block(value, tuple(canonical_order(grouped[value])))
+            for value in ordered_values
         )
         self._install(database, keys, blocks)
 
@@ -177,13 +178,13 @@ class BlockDecomposition:
         for key_value, (added, removed) in changes.items():
             index = self._index_by_key.get(key_value)
             if index is None:
-                brand_new.append(Block(key_value, tuple(sorted(added))))
+                brand_new.append(Block(key_value, tuple(canonical_order(added))))
                 continue
             facts = set(self._blocks[index].facts)
             facts.difference_update(removed)
             facts.update(added)
             replaced[key_value] = (
-                Block(key_value, tuple(sorted(facts))) if facts else None
+                Block(key_value, tuple(canonical_order(facts))) if facts else None
             )
 
         merged: List[Block] = []

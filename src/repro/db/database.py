@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
+from operator import itemgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -33,7 +34,7 @@ from typing import (
 
 from ..errors import FrozenDatabaseError, SchemaError
 from .delta import Delta
-from .facts import Constant, Fact
+from .facts import Constant, Fact, canonical_order, canonical_position
 from .schema import RelationSchema, Schema
 
 __all__ = ["Database"]
@@ -52,6 +53,48 @@ def _fact_token(item: Fact) -> str:
         f"{type(argument).__name__}:{argument!r}" for argument in item.arguments
     )
     return f"{item.relation}\x1f{arguments}"
+
+
+def _encoded_token(item: Fact) -> bytes:
+    """One fact's share of the content digest: its token, UTF-8, then NUL."""
+    return _fact_token(item).encode("utf-8") + b"\x00"
+
+
+def _splice(
+    order: List[Fact],
+    tokens: List[bytes],
+    deleted: Sequence[Fact],
+    inserted: Sequence[Fact],
+) -> Tuple[List[Fact], List[bytes]]:
+    """The canonical fact and token lists after an effective delta.
+
+    ``deleted`` and ``inserted`` are in canonical order (as a
+    :class:`~repro.db.delta.Delta` keeps them); every deleted fact is in
+    ``order`` and no inserted fact is.  Each cut is found by binary search
+    in the old order, and the new lists are assembled from slices of the
+    old ones, so the cost is ``O(|delta| log n)`` comparisons plus one
+    C-level copy of each list.
+    """
+    cuts = sorted(
+        [(canonical_position(order, item), 1, item) for item in deleted]
+        + [(canonical_position(order, item), 0, item) for item in inserted],
+        key=itemgetter(0, 1),  # an insertion lands before the fact it precedes
+    )
+    new_order: List[Fact] = []
+    new_tokens: List[bytes] = []
+    start = 0
+    for position, is_deleted, item in cuts:
+        new_order += order[start:position]
+        new_tokens += tokens[start:position]
+        if is_deleted:
+            start = position + 1
+        else:
+            new_order.append(item)
+            new_tokens.append(_encoded_token(item))
+            start = position
+    new_order += order[start:]
+    new_tokens += tokens[start:]
+    return new_order, new_tokens
 
 
 class Database:
@@ -81,8 +124,33 @@ class Database:
         self._frozen = False
         self._digest: Optional[str] = None
         self._hash: Optional[int] = None
+        # A frozen snapshot's facts in canonical order and their encoded
+        # digest tokens, built on first use and spliced by apply_delta.
+        # One attribute, so a racing reader never sees half of the pair.
+        self._ordered: Optional[Tuple[List[Fact], List[bytes]]] = None
         for item in facts:
             self.add(item)
+
+    @classmethod
+    def from_canonical(
+        cls, facts: Sequence[Fact], digest: str
+    ) -> Optional["Database"]:
+        """The frozen snapshot of ``facts``, given in canonical order, or None.
+
+        The digest is computed over ``facts`` in the order given.  Tokens
+        are injective on facts, so it equals ``digest`` only when the
+        facts are exactly the snapshot's, each listed once, in canonical
+        order; the snapshot then adopts that order instead of sorting
+        again.  Any other input (wrong content, a permutation, a
+        duplicate) returns ``None``.
+        """
+        tokens = [_encoded_token(item) for item in facts]
+        if hashlib.sha256(b"".join(tokens)).hexdigest() != digest:
+            return None
+        database = cls(facts)
+        database._ordered = (list(facts), tokens)
+        database._digest = digest
+        return database.freeze()
 
     # ------------------------------------------------------------------ #
     # construction / mutation
@@ -162,12 +230,24 @@ class Database:
         mutation (and forever once frozen).
         """
         if self._digest is None:
-            hasher = hashlib.sha256()
-            for item in sorted(self._facts):
-                hasher.update(_fact_token(item).encode("utf-8"))
-                hasher.update(b"\x00")
-            self._digest = hasher.hexdigest()
+            self._digest = hashlib.sha256(b"".join(self._canonical()[1])).hexdigest()
         return self._digest
+
+    def _canonical(self) -> Tuple[List[Fact], List[bytes]]:
+        """The facts in canonical order, with each fact's encoded token.
+
+        A frozen snapshot keeps both lists, so :meth:`apply_delta` can
+        splice them instead of sorting and rendering every fact again; a
+        mutable database builds them on every call.  The lists are never
+        changed in place.
+        """
+        if self._ordered is not None:
+            return self._ordered
+        order = canonical_order(self._facts)
+        ordered = (order, [_encoded_token(item) for item in order])
+        if self._frozen:
+            self._ordered = ordered
+        return ordered
 
     def apply_delta(self, delta: Delta) -> "Database":
         """Derive the next frozen snapshot ``(self - deleted) + inserted``.
@@ -176,6 +256,10 @@ class Database:
         ``self`` (safe because both snapshots are frozen), so the cost of an
         update is proportional to the facts of the touched relations plus
         one ``O(n)`` fact-set copy — not a full re-validation of every fact.
+        A frozen ``self`` also hands on its canonical order and digest
+        tokens with the delta spliced in, so the new digest costs
+        ``O(|delta| log n)`` comparisons plus one hash over ``n`` cached
+        tokens instead of a sort and a rendering of every fact.
         Inserted facts are validated against the schema exactly like
         :meth:`add` would; deleting a fact that is absent and inserting a
         fact that is present are no-ops (deltas are declarative).
@@ -231,6 +315,11 @@ class Database:
         clone._frozen = False
         clone._digest = None
         clone._hash = None
+        clone._ordered = None
+        if self._frozen:
+            clone._ordered = _splice(
+                *self._canonical(), really_deleted, really_inserted
+            )
         return clone.freeze()
 
     # ------------------------------------------------------------------ #
@@ -262,12 +351,15 @@ class Database:
     def __getstate__(self) -> Dict[str, object]:
         # The cached set hash is salted per-process (PYTHONHASHSEED), so it
         # must not travel to worker processes; the content digest is stable
-        # and may.
+        # and may.  The canonical lists are derived state that would double
+        # the payload; the receiver rebuilds them on first use.
         state = self.__dict__.copy()
         state["_hash"] = None
+        del state["_ordered"]
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
+        self._ordered = None
         self.__dict__.update(state)
         if self._frozen:
             self._hash = hash(frozenset(self._facts))
@@ -277,8 +369,14 @@ class Database:
         return frozenset(self._facts)
 
     def sorted_facts(self) -> List[Fact]:
-        """Return the facts in the canonical (lexicographic) order."""
-        return sorted(self._facts)
+        """Return the facts in the canonical (lexicographic) order.
+
+        See :func:`~repro.db.facts.canonical_order`; a frozen snapshot
+        returns a copy of the order it carries.
+        """
+        if self._frozen:
+            return list(self._canonical()[0])
+        return canonical_order(self._facts)
 
     # ------------------------------------------------------------------ #
     # schema and relation access
@@ -346,7 +444,7 @@ class Database:
         """Return a human-readable multi-line rendering of the database."""
         lines: List[str] = []
         for name in self.relation_names():
-            facts = sorted(self._by_relation[name])
+            facts = canonical_order(self._by_relation[name])
             shown: Sequence[Fact] = facts
             suffix = ""
             if max_facts_per_relation is not None and len(facts) > max_facts_per_relation:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple, TYPE_CHECKING
 
 from ..errors import DeltaError
-from .facts import Fact
+from .facts import Fact, canonical_order
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .constraints import KeyValue, PrimaryKeySet
@@ -40,7 +40,7 @@ def _as_sorted_fact_tuple(facts: Iterable[Fact], role: str) -> Tuple[Fact, ...]:
                 f"delta {role} entries must be Facts, got {type(item).__name__}"
             )
         collected.add(item)
-    return tuple(sorted(collected))
+    return tuple(canonical_order(collected))
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class Delta:
         )
         overlap = set(self.inserted) & set(self.deleted)
         if overlap:
-            rendered = ", ".join(str(item) for item in sorted(overlap))
+            rendered = ", ".join(str(item) for item in canonical_order(overlap))
             raise DeltaError(
                 f"delta lists the same fact(s) as inserted and deleted: {rendered}"
             )

@@ -8,12 +8,14 @@ databases are represented (a database is a finite set of facts).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from operator import attrgetter
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from ..errors import SchemaError
 
-__all__ = ["Constant", "Fact", "fact"]
+__all__ = ["Constant", "Fact", "canonical_order", "canonical_position", "fact"]
 
 #: The constants the paper draws from a countably infinite set ``C``.  In the
 #: library a constant is any hashable scalar; strings and integers cover all
@@ -67,3 +69,62 @@ class Fact:
 def fact(relation: str, *arguments: Constant) -> Fact:
     """Convenience constructor: ``fact("R", 1, "a")`` == ``Fact("R", (1, "a"))``."""
     return Fact(relation, tuple(arguments))
+
+
+# ---------------------------------------------------------------------- #
+# the canonical fact order
+# ---------------------------------------------------------------------- #
+#: ``Fact.__lt__`` as a C-level sort key.
+_FIELDS = attrgetter("relation", "arguments")
+
+
+def _ranked(item: Fact) -> Tuple[str, Tuple[tuple, ...]]:
+    """A sort key that is total where ``Fact.__lt__`` is not.
+
+    At each argument position numbers rank before strings, and strings
+    before any other constant type, grouped by type name.  Two constants
+    of one rank compare as ``Fact.__lt__`` compares them, and a number is
+    never equal to a string, so for the :data:`Constant` types this key
+    answers every comparison ``Fact.__lt__`` can make the same way.
+    """
+    return item.relation, tuple(
+        (0, constant) if isinstance(constant, (int, float))
+        else (1, constant) if isinstance(constant, str)
+        else (2, type(constant).__name__, constant)
+        for constant in item.arguments
+    )
+
+
+def canonical_order(facts: Iterable[Fact]) -> List[Fact]:
+    """The facts as a list in the canonical order every digest and block uses.
+
+    This is ``sorted(facts)`` wherever ``Fact.__lt__`` can compare the
+    facts, computed with a C-level key.  When one argument position mixes
+    numbers and strings, ``Fact.__lt__`` raises ``TypeError``; the order
+    then falls back to :func:`_ranked`, which agrees with ``Fact.__lt__``
+    on every pair it compares.  A successful ``Fact.__lt__`` sort only
+    made comparisons whose answers the ranked key shares, so both sorts
+    produce the same list: the canonical order *is* the ranked order.
+
+    >>> [str(item) for item in canonical_order([fact("R", "x", "c"), fact("R", 1, "b")])]
+    ['R(1, b)', 'R(x, c)']
+    """
+    ordered = list(facts)
+    if len(ordered) > 1:  # most blocks and join candidates hold one fact
+        try:
+            ordered.sort(key=_FIELDS)
+        except TypeError:
+            ordered.sort(key=_ranked)
+    return ordered
+
+
+def canonical_position(ordered: Sequence[Fact], item: Fact) -> int:
+    """``bisect_left`` of ``item`` in a list in :func:`canonical_order`.
+
+    The C-level key answers whenever its comparisons are defined, and then
+    agrees with the ranked key; otherwise the ranked key decides.
+    """
+    try:
+        return bisect_left(ordered, _FIELDS(item), key=_FIELDS)
+    except TypeError:
+        return bisect_left(ordered, _ranked(item), key=_ranked)

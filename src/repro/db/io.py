@@ -21,7 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..errors import SchemaError
 from .constraints import KeyConstraint, PrimaryKeySet
 from .database import Database
-from .facts import Constant, Fact
+from .facts import Constant, Fact, canonical_order
 from .schema import RelationSchema, Schema
 
 __all__ = [
@@ -97,7 +97,7 @@ def save_csv_directory(database: Database, directory: Union[str, Path]) -> None:
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(relation_schema.attributes)
-            for item in sorted(database.relation(relation_name)):
+            for item in canonical_order(database.relation(relation_name)):
                 writer.writerow(list(item.arguments))
 
 
@@ -122,22 +122,60 @@ def database_to_json(
 
 
 def database_from_json(payload: Mapping[str, object]) -> Tuple[Database, PrimaryKeySet]:
-    """Inverse of :func:`database_to_json`."""
+    """Inverse of :func:`database_to_json`.
+
+    A document of the wrong shape raises :class:`~repro.errors.SchemaError`
+    naming the part that is wrong; constants are taken as they come.
+    """
+    if not isinstance(payload, Mapping):
+        raise SchemaError(
+            f"a database document must be a JSON object, got {type(payload).__name__}"
+        )
     relations = payload.get("relations", {})
-    schema = Schema()
-    for name, attributes in dict(relations).items():  # type: ignore[arg-type]
-        schema.add_relation(RelationSchema(name, len(attributes), tuple(attributes)))
-    facts = [
-        Fact(entry["relation"], tuple(entry["arguments"]))
-        for entry in payload.get("facts", [])  # type: ignore[union-attr]
-    ]
-    database = Database(facts, schema=schema if len(schema) else None)
+    if not _maps_to_lists_of(relations, str):
+        raise SchemaError(
+            "database 'relations' must be an object mapping each relation "
+            "name to a list of attribute names"
+        )
+    entries = payload.get("facts", [])
+    if not isinstance(entries, list):
+        raise SchemaError("database 'facts' must be a list of fact objects")
+    facts: List[Fact] = []
+    for entry in entries:
+        try:
+            relation, arguments = entry["relation"], entry["arguments"]
+        except (TypeError, KeyError):
+            relation = arguments = None
+        if not (isinstance(relation, str) and isinstance(arguments, list)):
+            raise SchemaError(
+                f"database fact {len(facts)} must be an object with a string "
+                f"'relation' and a list 'arguments'"
+            )
+        facts.append(Fact(relation, tuple(arguments)))
     keys_payload = payload.get("keys", {}) or {}
+    if not _maps_to_lists_of(keys_payload, int):
+        raise SchemaError(
+            "database 'keys' must be an object mapping each relation to a "
+            "list of key positions"
+        )
+    schema = Schema()
+    for name, attributes in relations.items():  # type: ignore[union-attr]
+        schema.add_relation(RelationSchema(name, len(attributes), tuple(attributes)))
+    database = Database(facts, schema=schema if len(schema) else None)
     key_set = PrimaryKeySet(
         KeyConstraint(name, positions)
-        for name, positions in dict(keys_payload).items()  # type: ignore[arg-type]
+        for name, positions in keys_payload.items()  # type: ignore[union-attr]
     )
     return database, key_set
+
+
+def _maps_to_lists_of(value: object, kind: type) -> bool:
+    """Whether ``value`` maps names to lists whose items are all ``kind``."""
+    return isinstance(value, Mapping) and all(
+        isinstance(items, list)
+        and all(isinstance(item, kind) and not isinstance(item, bool) for item in items)
+        for items in value.values()
+    )
 
 
 def save_json(

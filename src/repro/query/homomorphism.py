@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..db.database import Database
-from ..db.facts import Constant, Fact
+from ..db.facts import Constant, Fact, canonical_order
 from .ast import Atom, Variable
 from .evaluation import Assignment
 
@@ -138,7 +138,7 @@ def find_homomorphisms(
             return
         chosen = remaining[chosen_index]
         rest = remaining[:chosen_index] + remaining[chosen_index + 1 :]
-        for fact_ in sorted(_candidates(chosen, database, assignment)):
+        for fact_ in canonical_order(_candidates(chosen, database, assignment)):
             yield from backtrack(rest, _extend(chosen, fact_, assignment))
             if limit is not None and produced >= limit:
                 return

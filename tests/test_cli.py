@@ -417,7 +417,8 @@ class TestServe:
 
 
 #: Malformed invocations; ``{missing}`` is a file that does not exist,
-#: ``{invalid}`` a file that is not JSON, ``{db}`` the employee database.
+#: ``{invalid}`` a file that is not JSON, ``{db}`` the employee database,
+#: and the names in ``_WRONG_SHAPE`` are files holding those documents.
 _MALFORMED = {
     "inspect-missing-file": ["inspect", "--json", "{missing}"],
     "repairs-missing-file": ["repairs", "--json", "{missing}"],
@@ -450,6 +451,16 @@ _MALFORMED = {
         "--method", "fpras", "--epsilon", "0",
     ],
     "key-with-json": ["inspect", "--json", "{db}", "--key", "Employee=1"],
+    "inspect-facts-not-a-list": ["inspect", "--json", "{facts_object}"],
+    "inspect-fact-without-arguments": ["inspect", "--json", "{bare_fact}"],
+    "inspect-document-not-an-object": ["inspect", "--json", "{list_document}"],
+}
+
+#: Valid JSON database documents of the wrong shape, by placeholder name.
+_WRONG_SHAPE = {
+    "facts_object": {"facts": {"R": [[1, "a"]]}},
+    "bare_fact": {"facts": [{"relation": "R"}]},
+    "list_document": [1, 2],
 }
 
 
@@ -464,6 +475,9 @@ def test_malformed_input_exits_2_with_one_line(argv, tmp_path, employee_json, ca
         "store": str(tmp_path / "store"),
         "out": str(tmp_path / "out.json"),
     }
+    for name, document in _WRONG_SHAPE.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(document))
     assert main([part.format(**paths) for part in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1, err

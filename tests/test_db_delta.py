@@ -130,6 +130,28 @@ class TestFreezeAndDigest:
         assert clone.content_digest() == database.content_digest()
         assert clone == database
 
+    def test_digest_golden_values(self, employee_db):
+        """Lineage records, store keys and update reports persist these hex
+        values, so the token format and the fact order must never move."""
+        assert employee_db.content_digest() == (
+            "1c8fb3e8442611132bb3f3e92aff42078810dc113fbb27132f6b0e01717d0e16"
+        )
+        updated = employee_db.freeze().apply_delta(
+            Delta(
+                inserted=[fact("Employee", 3, "Eve", "HR"), fact("Employee", 2, "Alice", "HR")],
+                deleted=[fact("Employee", 1, "Bob", "IT")],
+            )
+        )
+        assert updated.content_digest() == (
+            "12074c5d822257a3b03eb4fe346de7af18caf5322f498f9618912161a79510ab"
+        )
+
+    def test_pickles_carry_no_canonical_order(self, employee_db):
+        shipped = pickle.loads(pickle.dumps(employee_db.freeze()))
+        payload = pickle.dumps(shipped)
+        assert shipped.sorted_facts() == employee_db.sorted_facts()
+        assert pickle.dumps(shipped) == payload  # the rebuilt order stays home
+
 
 class TestApplyDelta:
     def test_result_is_frozen_and_source_untouched(self, employee_db):

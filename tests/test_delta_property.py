@@ -5,6 +5,9 @@ indistinguishable from recomputation:
 
 * ``BlockDecomposition.apply_delta`` equals a full rebuild of the updated
   database's decomposition, block for block;
+* the updated snapshot's spliced canonical order and digest equal a
+  rebuild's, and stay equal through a second delta, applied both to the
+  snapshot and to a pickled copy that has to rebuild its order;
 * a warm ``SolverPool`` that took the delta via ``apply_delta`` returns
   counts bit-identical to a fresh sequential ``CQASolver`` over the updated
   database — regardless of which selector entries were dropped, migrated
@@ -21,6 +24,7 @@ records must be a faithful replay log:
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -55,7 +59,11 @@ def _random_pair(seed: int):
     )
     database, keys = random_inconsistent_database(spec, seed=rng.randrange(2**16))
     database.freeze()
+    return database, keys, _random_delta(rng, database)
 
+
+def _random_delta(rng: random.Random, database: Database) -> Delta:
+    """A delta of up to 4 deletions and 4 insertions (some into blocks)."""
     facts = database.sorted_facts()
     deleted = rng.sample(facts, k=min(len(facts), rng.randint(0, 4)))
     inserted = []
@@ -71,7 +79,7 @@ def _random_pair(seed: int):
         )
         if candidate not in deleted:
             inserted.append(candidate)
-    return database, keys, Delta(inserted=inserted, deleted=deleted)
+    return Delta(inserted=inserted, deleted=deleted)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -84,6 +92,20 @@ def test_incremental_update_equals_recomputation(seed):
     incremental = decomposition.apply_delta(delta, database=updated)
     full = BlockDecomposition(updated, keys)
     assert incremental.blocks == full.blocks
+
+    # The spliced canonical order and digest equal a rebuild's, also one
+    # delta later, whether the snapshot carried its order or lost it to a
+    # pickle round trip.
+    rebuilt = Database(updated.facts())
+    assert updated.content_digest() == rebuilt.content_digest()
+    assert updated.sorted_facts() == rebuilt.sorted_facts()
+    second = _random_delta(random.Random(1_000 + seed), updated)
+    expected = Database(
+        (updated.facts() - set(second.deleted)) | set(second.inserted)
+    ).content_digest()
+    assert updated.apply_delta(second).content_digest() == expected
+    shipped = pickle.loads(pickle.dumps(updated))
+    assert shipped.apply_delta(second).content_digest() == expected
 
     # Property 2: post-delta pool counts == a fresh sequential solver's.
     pool = SolverPool()

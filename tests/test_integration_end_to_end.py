@@ -5,15 +5,27 @@ would: scenario → solver → exact count → FPRAS → reductions → machine 
 checking that every route through the library tells the same story.
 """
 
+import json
+
 import pytest
 
 from repro.approx import CQAFpras, KarpLubyEstimator, LambdaFPRAS
+from repro.cli import main
 from repro.core import CQASolver
-from repro.db import database_from_json, database_to_json
+from repro.db import (
+    Database,
+    Delta,
+    PrimaryKeySet,
+    database_from_json,
+    database_to_json,
+    fact,
+)
+from repro.engine import SolverPool
 from repro.lams import CQACompactor, GuessCheckExpandTransducer
 from repro.problems import count_disjoint_positive_dnf
 from repro.reductions import cqa_to_disjoint_dnf, count_via_pdb, disjoint_dnf_to_cqa
 from repro.repairs import count_repairs_satisfying
+from repro.store import SnapshotStore
 from repro.workloads import (
     election_registry,
     hr_analytics,
@@ -100,3 +112,46 @@ def test_fpras_variants_agree_with_each_other():
     else:
         assert abs(generic - exact) <= 0.3 * exact
         assert abs(specialised - exact) <= 0.3 * exact
+
+
+def test_numbers_and_strings_in_one_key_position(tmp_path, capsys):
+    """A position holding both numbers and strings works on every path.
+
+    ``Fact.__lt__`` cannot order ``1`` against ``'x'``; the canonical order
+    ranks numbers first, so the digest, JSON, checkpoints and the batch
+    CLI all handle the database.
+    """
+    facts = [fact("R", 1, "a"), fact("R", 1, "b"), fact("R", "x", "c")]
+    keys = PrimaryKeySet.from_dict({"R": [1]})
+    database = Database(facts)
+    assert database.content_digest() == Database(reversed(facts)).content_digest()
+    assert database.sorted_facts() == facts
+
+    restored, restored_keys = database_from_json(database_to_json(database, keys))
+    assert restored == database and restored_keys == keys
+
+    pool = SolverPool(persist_dir=tmp_path / "store", checkpoint_every=1)
+    pool.register("m", database, keys)
+    pool.apply_delta("m", Delta(inserted=[fact("R", "x", 5)], deleted=[fact("R", 1, "b")]))
+    middle = pool.lookup("m")[0]
+    pool.apply_delta("m", Delta(inserted=[fact("R", 2.5, "d")]))
+    head = pool.lookup("m")[0]
+    assert head.content_digest() == Database(head.facts()).content_digest()
+    record = pool.checkpoints("m")[0]
+    assert record.digest == middle.content_digest()
+    loaded = SnapshotStore(tmp_path / "store").load((record.digest, record.keys_digest))
+    assert loaded == middle and loaded.sorted_facts() == middle.sorted_facts()
+
+    restarted = SolverPool(persist_dir=tmp_path / "store")
+    restarted.register("m", head, keys)
+    assert restarted.materialise("m", middle.content_digest())[0] == middle
+    assert restarted.materialise("m", database.content_digest())[0] == database
+
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps({
+        "databases": {"m": database_to_json(database, keys)},
+        "jobs": [{"database": "m", "query": "EXISTS y. R(1, y)"}],
+    }))
+    assert main(["batch", "--jobs", str(jobs)]) == 0
+    (result,) = json.loads(capsys.readouterr().out)["jobs"]
+    assert (result["satisfying"], result["total"]) == (2, 2)
