@@ -131,27 +131,6 @@ class Database:
         for item in facts:
             self.add(item)
 
-    @classmethod
-    def from_canonical(
-        cls, facts: Sequence[Fact], digest: str
-    ) -> Optional["Database"]:
-        """The frozen snapshot of ``facts``, given in canonical order, or None.
-
-        The digest is computed over ``facts`` in the order given.  Tokens
-        are injective on facts, so it equals ``digest`` only when the
-        facts are exactly the snapshot's, each listed once, in canonical
-        order; the snapshot then adopts that order instead of sorting
-        again.  Any other input (wrong content, a permutation, a
-        duplicate) returns ``None``.
-        """
-        tokens = [_encoded_token(item) for item in facts]
-        if hashlib.sha256(b"".join(tokens)).hexdigest() != digest:
-            return None
-        database = cls(facts)
-        database._ordered = (list(facts), tokens)
-        database._digest = digest
-        return database.freeze()
-
     # ------------------------------------------------------------------ #
     # construction / mutation
     # ------------------------------------------------------------------ #

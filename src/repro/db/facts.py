@@ -110,11 +110,10 @@ def canonical_order(facts: Iterable[Fact]) -> List[Fact]:
     ['R(1, b)', 'R(x, c)']
     """
     ordered = list(facts)
-    if len(ordered) > 1:  # most blocks and join candidates hold one fact
-        try:
-            ordered.sort(key=_FIELDS)
-        except TypeError:
-            ordered.sort(key=_ranked)
+    try:
+        ordered.sort(key=_FIELDS)
+    except TypeError:
+        ordered.sort(key=_ranked)
     return ordered
 
 

@@ -383,6 +383,7 @@ class Lineage:
         database: Database,
         target_digest: str,
         checkpoints: Optional[CheckpointLoaders] = None,
+        load_cost: float = 0.0,
     ) -> Database:
         """Reconstruct the snapshot ``target_digest`` from the closest source.
 
@@ -402,6 +403,13 @@ class Lineage:
         snapshot entry) simply demotes that checkpoint; the next closest
         source is used instead.
 
+        ``load_cost`` prices one checkpoint load in replayed deltas: a
+        checkpoint at distance ``d`` costs ``d + load_cost``, the provided
+        database costs its distance, and the cheapest source wins (ties go
+        to the provided database).  The default 0.0 ranks by distance
+        alone; a measured price keeps a near-head read from loading a
+        snapshot that costs more than the replay it saves.
+
         Whatever the source, the result's ``content_digest`` is checked
         against ``target_digest`` — a corrupt or incomplete history fails
         loudly instead of producing a wrong database.
@@ -418,16 +426,9 @@ class Lineage:
         wanted = {source_digest, *(checkpoints or ())}
         previous, distance = self._search_from(edges, target_digest, wanted)
 
-        candidates: List[Tuple[int, int, str]] = []
-        if source_digest in distance:
-            # Tie-break in favour of the already-materialised database
-            # (rank 0): equal distance, no snapshot entry to load.
-            candidates.append((distance[source_digest], 0, source_digest))
-        for digest in checkpoints or ():
-            if digest in distance and digest != source_digest:
-                candidates.append((distance[digest], 1, digest))
-
-        for _, rank, digest in sorted(candidates):
+        for _, rank, digest in self._ranked_sources(
+            distance, source_digest, checkpoints, load_cost
+        ):
             if rank == 0:
                 source: Optional[Database] = database
             else:
@@ -606,20 +607,44 @@ class Lineage:
         source_digest: str,
         target_digest: str,
         checkpoints: Optional[CheckpointLoaders] = None,
+        load_cost: float = 0.0,
     ) -> Optional[int]:
         """How many deltas :meth:`materialise` would replay, or ``None``.
 
         The cost model of checkpoint compaction, queryable without doing
-        the work: the shortest delta distance from ``target_digest`` to
-        ``source_digest`` or to any checkpointed digest (loaders are *not*
-        invoked — a lost snapshot entry may make the real replay longer).
+        the work: the delta distance from ``target_digest`` to the source
+        :meth:`materialise` would pick for the same ``load_cost`` — with
+        the default 0.0, the nearest of ``source_digest`` and the
+        checkpointed digests (loaders are *not* invoked — a lost snapshot
+        entry may make the real replay longer).
         """
         if source_digest == target_digest:
             return 0
         wanted = {source_digest, *(checkpoints or ())}
         _, distance = self._search_from(self._delta_edges(), target_digest, wanted)
-        found = [distance[digest] for digest in wanted if digest in distance]
-        return min(found) if found else None
+        ranked = self._ranked_sources(distance, source_digest, checkpoints, load_cost)
+        return distance[ranked[0][2]] if ranked else None
+
+    @staticmethod
+    def _ranked_sources(
+        distance: Dict[str, int],
+        source_digest: str,
+        checkpoints: Optional[CheckpointLoaders],
+        load_cost: float,
+    ) -> List[Tuple[float, int, str]]:
+        """The reachable sources, cheapest first, as ``(cost, rank, digest)``.
+
+        A source costs its replay distance, plus ``load_cost`` for a
+        checkpoint (rank 1); the provided database (rank 0) wins ties,
+        since there is no snapshot entry to load.
+        """
+        ranked: List[Tuple[float, int, str]] = []
+        if source_digest in distance:
+            ranked.append((distance[source_digest], 0, source_digest))
+        for digest in checkpoints or ():
+            if digest in distance and digest != source_digest:
+                ranked.append((distance[digest] + load_cost, 1, digest))
+        return sorted(ranked)
 
     def _delta_edges(self) -> Dict[str, List[Tuple[str, Delta, bool]]]:
         """The bidirectional digest graph of the recorded delta records.

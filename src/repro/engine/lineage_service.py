@@ -197,8 +197,10 @@ class LineageService:
         ``ref`` is an ``as_of`` reference (digest, unique ≥8-hex-char
         prefix, or non-positive chain index).  The head resolves without
         work; an ancestor is reconstructed by replaying the recorded
-        effective-delta chain from the **closest materialised source** —
-        the head or any checkpoint whose snapshot entry loads (see
+        effective-delta chain from the **cheapest materialised source** —
+        the head or any checkpoint whose snapshot entry loads, a load
+        priced in replayed deltas by the policy's
+        :meth:`~repro.store.CheckpointPolicy.load_cost` (see
         :meth:`~repro.db.lineage.Lineage.materialise`) — verified against
         the recorded content digest and cached by token, so repeated
         historical queries replay nothing.
@@ -215,13 +217,15 @@ class LineageService:
                 f"under different key constraints; its lineage cannot be "
                 f"replayed against the current keys"
             )
-        loaders = self.checkpoint_loaders(name)
+        loads: List[float] = []
+        loaders = self.checkpoint_loaders(name, loads)
+        load_cost = self._policy.load_cost(name) if self._policy is not None else 0.0
         replay: Dict[str, float] = {}
 
         def factory() -> Database:
             started = time.perf_counter()
             snapshot = chain.materialise(
-                database, record.digest, checkpoints=loaders
+                database, record.digest, checkpoints=loaders, load_cost=load_cost
             ).freeze()
             replay["elapsed"] = time.perf_counter() - started
             return snapshot
@@ -229,7 +233,8 @@ class LineageService:
         snapshot = self._caches.materialised(token, factory)
         if self._policy is not None:
             self._observe_read(
-                name, chain, record, snapshot, replay.get("elapsed")
+                name, chain, record, snapshot, replay.get("elapsed"), loads,
+                load_cost,
             )
         return snapshot, keys, token
 
@@ -283,7 +288,9 @@ class LineageService:
                 missing[record.digest] = record
         if missing:
             ordered = sorted(missing.values(), key=lambda record: record.sequence)
-            loaders = self.checkpoint_loaders(name)
+            loads: List[float] = []
+            loaders = self.checkpoint_loaders(name, loads)
+            reported = 0
             started = time.perf_counter()
             for digest, snapshot in chain.materialise_range(
                 database,
@@ -297,7 +304,10 @@ class LineageService:
                 resolved[digest] = snapshot
                 elapsed = time.perf_counter() - started
                 if self._policy is not None:
-                    self._observe_read(name, chain, record, snapshot, elapsed)
+                    self._observe_read(
+                        name, chain, record, snapshot, elapsed, loads[reported:]
+                    )
+                reported = len(loads)
                 started = time.perf_counter()
         return [
             (resolved[record.digest], keys, (record.digest, record.keys_digest))
@@ -332,17 +342,27 @@ class LineageService:
         record: LineageRecord,
         snapshot: Database,
         elapsed: Optional[float],
+        loads: Sequence[float] = (),
+        load_cost: float = 0.0,
     ) -> None:
         """Feed one resolved ``as_of`` read to the checkpoint policy.
 
         ``elapsed`` is ``None`` when the materialised-ancestor cache
         served the read without replaying; the read still counts (a hot
         digest is hot however it was served) with distance/cost zero.
-        The policy's decision is executed immediately: promotions are
-        honoured only for the digest just materialised (the one database
-        this service holds without extra work), demotions for any
-        checkpointed digest except the live head.
+        ``loads`` are the seconds of the checkpoint loads the read made:
+        each is reported to the policy, and their sum is taken out of
+        ``elapsed``, so the per-step cost measures replay alone.  The
+        distance is the one the replay walked, from the source ranked
+        with ``load_cost``.  The policy's decision is executed
+        immediately: promotions are honoured only for the digest just
+        materialised (the one database this service holds without extra
+        work), demotions for any checkpointed digest except the live head.
         """
+        policy = self._policy
+        assert policy is not None
+        for seconds in loads:
+            policy.after_load(name, seconds)
         head = chain.head
         head_digest = head.digest if head is not None else ""
         distance = 0
@@ -352,10 +372,12 @@ class LineageService:
                     head_digest,
                     record.digest,
                     checkpoints=self.checkpoint_loaders(name),
+                    load_cost=load_cost,
                 )
                 or 0
             )
-        decision = self._policy.after_read(  # type: ignore[union-attr]
+            elapsed = max(elapsed - sum(loads), 0.0)
+        decision = policy.after_read(
             name,
             head_digest,
             record.digest,
@@ -602,11 +624,22 @@ class LineageService:
         )
 
     def checkpoint_loaders(
-        self, name: str
+        self, name: str, timings: Optional[List[float]] = None
     ) -> Dict[str, Callable[[], Optional[Database]]]:
-        """Lazy digest -> database loaders for the name's checkpoints."""
+        """Lazy digest -> database loaders for the name's checkpoints.
+
+        With ``timings``, every load appends its wall-clock seconds there.
+        """
+
+        def loader(token: SnapshotToken) -> Optional[Database]:
+            started = time.perf_counter()
+            snapshot = self._caches.load_checkpoint(token)
+            if timings is not None:
+                timings.append(time.perf_counter() - started)
+            return snapshot
+
         return {
-            digest: (lambda token=record.token: self._caches.load_checkpoint(token))
+            digest: (lambda token=record.token: loader(token))
             for digest, record in self._checkpoints.get(name, {}).items()
         }
 

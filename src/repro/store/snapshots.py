@@ -11,9 +11,9 @@ A :class:`SnapshotStore` persists the canonically ordered fact sequence
 of a frozen database keyed by its snapshot token, through the same
 framed, versioned, checksummed, atomically-published format as every
 other store entry (``*.snp`` suffix, ``RSNP`` magic).  Loads are
-**digest-verified**: the stored sequence must hash to the token's
-database digest, so a damaged or mismatched entry reads as a miss —
-replay then falls back to a longer delta walk (cold, never wrong).
+**digest-verified**: the rebuilt database's ``content_digest`` must equal
+the token's database digest, so a damaged or mismatched entry reads as a
+miss — replay then falls back to a longer delta walk (cold, never wrong).
 
 Snapshot entries are GC'd like cache entries (age/count bounds, pinned
 live tokens exempt); an evicted checkpoint only lengthens future replays.
@@ -77,18 +77,17 @@ class SnapshotStore(ContentAddressedStore):
     def load(self, snapshot_token: SnapshotToken) -> Optional[Database]:
         """Rebuild the stored database, or ``None`` on miss/mismatch.
 
-        The stored facts are digest-verified against the token, in the
-        order they were stored, before the frozen database (checkpoints
-        are snapshots) adopts that order as its canonical one; an entry
-        whose content or order does not hash to its own key is corruption
-        and is deleted best-effort, exactly like an undecodable one.
+        The rebuilt database is frozen (checkpoints are snapshots) and
+        digest-verified against the token before it is returned; an entry
+        whose content does not hash to its own key is corruption and is
+        deleted best-effort, exactly like an undecodable one.
         """
         name = self.entry_name(snapshot_token)
         facts = self._load_entry(name)
         if facts is None:
             return None
-        database = Database.from_canonical(facts, snapshot_token[0])  # type: ignore[arg-type]
-        if database is None:
+        database = Database(facts).freeze()  # type: ignore[arg-type]
+        if database.content_digest() != snapshot_token[0]:
             self.corrupt += 1
             self.loads -= 1  # it never really loaded
             self.misses += 1

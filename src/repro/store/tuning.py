@@ -10,8 +10,9 @@ module is the loop:
   an injectable clock, so "how often is this read *lately*" is a number,
   deterministically testable.
 * :class:`AccessLog` — the observation layer: per-``(name, digest)``
-  decayed read rates, a per-name EWMA of the measured *per-delta replay
-  cost*, and per-name snapshot byte estimates refined from actual stores.
+  decayed read rates, per-name EWMAs of the measured *per-delta replay
+  cost* and *checkpoint load cost*, and per-name snapshot byte estimates
+  refined from actual stores.
 * :class:`CheckpointPolicy` — the decision interface the lineage service
   consults after every ``as_of`` replay and every recorded delta.  Two
   implementations ship: :class:`FixedIntervalPolicy` (the exact every-K
@@ -125,7 +126,7 @@ class DecayedCounter:
 class AccessLog:
     """The observation layer: what gets read, how deep, and at what cost.
 
-    Three families of observations, all fed by the lineage service:
+    Four families of observations, all fed by the lineage service:
 
     * **read rates** — a :class:`DecayedCounter` per ``(name, digest)``,
       bumped on every ``as_of`` resolution of that digest (cache hits
@@ -133,10 +134,21 @@ class AccessLog:
     * **per-step replay cost** — an EWMA over ``elapsed / distance`` of
       every replay that actually walked deltas, per name (replay cost is
       a property of the database's size and delta shape, not of one
-      digest);
+      digest); ``elapsed`` excludes any checkpoint load on the way;
+    * **load cost** — an EWMA over the seconds of every checkpoint
+      snapshot load, per name; :meth:`load_steps` prices a load in
+      replayed deltas, which is how replay sources are ranked;
     * **snapshot bytes** — a running mean of the observed ``*.snp``
       entry sizes per name, refined after every checkpoint store, used
       to price a prospective checkpoint before it exists.
+
+    >>> log = AccessLog()
+    >>> log.load_steps("live")  # cold: sources rank by distance alone
+    0.0
+    >>> log.record_read("live", "d1", distance=4, elapsed=0.004)
+    >>> log.record_load("live", 0.02)
+    >>> round(log.load_steps("live"), 6)  # one load costs 20 replayed deltas
+    20.0
     """
 
     def __init__(self, half_life: float = 600.0, clock: Clock = time.time) -> None:
@@ -144,6 +156,7 @@ class AccessLog:
         self._clock = clock
         self._reads: Dict[Tuple[str, str], DecayedCounter] = {}
         self._step_cost: Dict[str, float] = {}
+        self._load_cost: Dict[str, float] = {}
         self._byte_mean: Dict[str, float] = {}
         self._byte_samples: Dict[str, int] = {}
 
@@ -156,9 +169,9 @@ class AccessLog:
         """Observe one ``as_of`` resolution of ``digest``.
 
         ``distance`` is the delta count the replay walked (0 for a
-        memory/checkpoint hit); ``elapsed`` the wall-clock seconds it
-        took.  Only replays with ``distance > 0`` update the per-step
-        cost model.
+        memory/checkpoint hit); ``elapsed`` the wall-clock seconds the
+        replay took, checkpoint loads excluded.  Only replays with
+        ``distance > 0`` update the per-step cost model.
         """
         counter = self._reads.get((name, digest))
         if counter is None:
@@ -166,12 +179,14 @@ class AccessLog:
             self._reads[(name, digest)] = counter
         counter.add()
         if distance > 0 and elapsed >= 0:
-            step = elapsed / distance
-            previous = self._step_cost.get(name)
-            # EWMA with alpha = 0.3: responsive to drift, stable under noise.
-            self._step_cost[name] = (
-                step if previous is None else 0.7 * previous + 0.3 * step
+            self._step_cost[name] = _ewma(
+                self._step_cost.get(name), elapsed / distance
             )
+
+    def record_load(self, name: str, elapsed: float) -> None:
+        """Observe one checkpoint snapshot load of ``name`` (``elapsed`` s)."""
+        if elapsed >= 0:
+            self._load_cost[name] = _ewma(self._load_cost.get(name), elapsed)
 
     def record_snapshot_bytes(self, name: str, size: int) -> None:
         """Refine the snapshot byte estimate of ``name`` after a store."""
@@ -192,6 +207,21 @@ class AccessLog:
         """The EWMA per-delta replay cost of ``name`` in seconds (0.0 cold)."""
         return self._step_cost.get(name, 0.0)
 
+    def load_cost(self, name: str) -> float:
+        """The EWMA seconds of one checkpoint load of ``name`` (0.0 cold)."""
+        return self._load_cost.get(name, 0.0)
+
+    def load_steps(self, name: str) -> float:
+        """One checkpoint load of ``name`` priced in replayed deltas.
+
+        ``load_cost / step_cost`` once both have been measured; 0.0 before
+        that, which ranks replay sources by distance alone (and so gets a
+        checkpoint loaded, and its cost measured, on the first deep read).
+        """
+        step = self.step_cost(name)
+        load = self.load_cost(name)
+        return load / step if step > 0 and load > 0 else 0.0
+
     def byte_estimate(self, name: str) -> float:
         """The mean observed snapshot byte size of ``name`` (0.0 cold)."""
         return self._byte_mean.get(name, 0.0)
@@ -210,6 +240,11 @@ class AccessLog:
         return tuple(
             digest for (owner, digest) in self._reads if owner == name
         )
+
+
+def _ewma(previous: Optional[float], sample: float) -> float:
+    """An EWMA step with alpha = 0.3: responsive to drift, stable under noise."""
+    return sample if previous is None else 0.7 * previous + 0.3 * sample
 
 
 @dataclass(frozen=True)
@@ -241,7 +276,9 @@ class CheckpointPolicy(abc.ABC):
     The lineage service consults the policy at its two observation
     points: :meth:`after_read` once per ``as_of`` resolution (with the
     measured replay distance and elapsed time) and :meth:`after_delta`
-    once per recorded effective delta.  Policies are plain picklable
+    once per recorded effective delta.  It also reports every checkpoint
+    load (:meth:`after_load`) and asks :meth:`load_cost` how to price a
+    load when it picks a replay source.  Policies are plain picklable
     objects — they travel to shard workers inside the process-pool
     initargs.
     """
@@ -272,6 +309,18 @@ class CheckpointPolicy(abc.ABC):
         which is all an interval policy needs; adaptive policies keep
         their own observations.
         """
+
+    def after_load(self, name: str, elapsed: float) -> None:
+        """Observe one checkpoint snapshot load of ``name`` (``elapsed`` s)."""
+
+    def load_cost(self, name: str) -> float:
+        """The price of one checkpoint load of ``name``, in replayed deltas.
+
+        Replay sources are ranked by distance plus this price for a
+        checkpoint.  The default 0.0 ranks by distance alone, which keeps
+        the work of a read independent of timings.
+        """
+        return 0.0
 
 
 class FixedIntervalPolicy(CheckpointPolicy):
@@ -354,6 +403,12 @@ class AdaptiveCheckpointPolicy(CheckpointPolicy):
     Deltas never cut checkpoints here — placement is driven purely by
     observed reads, which is what keeps the snapshot footprint lean on
     write-heavy chains.
+
+    The policy also prices replay sources: :meth:`load_cost` is the
+    measured cost of one checkpoint load in replayed deltas (see
+    :meth:`AccessLog.load_steps`), so a read replays from the head
+    whenever that is cheaper than loading a nearer checkpoint.  The cut
+    rule above does not weigh that load cost yet.
     """
 
     def __init__(
@@ -410,6 +465,12 @@ class AdaptiveCheckpointPolicy(CheckpointPolicy):
         checkpointed_sequences: Set[int],
     ) -> CheckpointDecision:
         return NO_DECISION
+
+    def after_load(self, name: str, elapsed: float) -> None:
+        self.log.record_load(name, elapsed)
+
+    def load_cost(self, name: str) -> float:
+        return self.log.load_steps(name)
 
     def observe_snapshot_bytes(self, name: str, size: int) -> None:
         """Feed back the actual byte size of a stored checkpoint."""

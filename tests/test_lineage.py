@@ -8,7 +8,10 @@ What is pinned here:
 * ``materialise`` replays recorded effective deltas forwards *and*
   backwards (``Delta.inverse``), finds paths across rollbacks, verifies
   the result against the recorded content digest, and refuses corrupt or
-  disconnected histories instead of fabricating data.
+  disconnected histories instead of fabricating data;
+* a priced checkpoint load (``load_cost``) makes ``materialise`` replay
+  from the provided database when that is cheaper, and
+  ``replay_distance`` reports the route ``materialise`` takes.
 """
 
 import pytest
@@ -224,3 +227,43 @@ class TestMaterialise:
         corrupt = Lineage("live", tuple(records))
         with pytest.raises(LineageError, match="corrupt"):
             corrupt.materialise(databases[0], databases[1].content_digest())
+
+
+class TestLoadCost:
+    def _chain(self):
+        root = Database([fact("R", 0, "a")]).freeze()
+        return _chain_of(
+            root, *(Delta(inserted=[fact("R", step, "b")]) for step in range(1, 7))
+        )
+
+    def test_priced_loads_pick_the_cheaper_source(self):
+        databases, chain = self._chain()
+        head, target = databases[-1], databases[1].content_digest()
+        loads = []
+
+        def load_root():
+            loads.append(1)
+            return databases[0]
+
+        checkpoints = {databases[0].content_digest(): load_root}
+        # The checkpoint is 1 delta away, the head 5: free loads take it.
+        assert chain.replay_distance(head.content_digest(), target, checkpoints) == 1
+        assert chain.materialise(head, target, checkpoints) == databases[1]
+        assert len(loads) == 1
+        # Priced at 5 deltas, a load costs 6 against the head's 5.
+        assert (
+            chain.replay_distance(
+                head.content_digest(), target, checkpoints, load_cost=5.0
+            )
+            == 5
+        )
+        assert (
+            chain.materialise(head, target, checkpoints, load_cost=5.0)
+            == databases[1]
+        )
+        assert len(loads) == 1
+        # At an equal cost the provided database wins the tie.
+        chain.materialise(head, target, checkpoints, load_cost=4.0)
+        assert len(loads) == 1
+        chain.materialise(head, target, checkpoints, load_cost=3.5)
+        assert len(loads) == 2

@@ -14,6 +14,9 @@ What is pinned here:
   chain position after a measured replay, respects ``min_distance``,
   feeds observed snapshot bytes back, demotes a checkpoint whose decayed
   read rate falls below ``demote_below`` — and never demotes the head;
+  it prices a checkpoint load in replayed deltas from measured load and
+  step costs, so a read replays from the head when that is cheaper, and
+  load time never counts as replay time;
 * stores expose ``bytes`` in ``stats()`` (and through
   ``SolverPool.cache_stats``), age GC reads the injected clock, and
   byte-bounded GC evicts cold entries first while **pinned live-head
@@ -38,6 +41,7 @@ from repro.cli import main
 from repro.db import Database, Delta, PrimaryKeySet, fact
 from repro.db.lineage import LineageRecord
 from repro.engine import CountJob, SolverPool
+from repro.engine.cache_coordinator import CacheCoordinator
 from repro.errors import EngineError, LineageError, ServerError
 from repro.server import AsyncServer
 from repro.store import (
@@ -135,6 +139,16 @@ class TestAccessLog:
         assert log.step_cost("live") == pytest.approx(0.1)
         log.record_read("live", "aa", distance=2, elapsed=0.4)
         assert log.step_cost("live") == pytest.approx(0.7 * 0.1 + 0.3 * 0.2)
+
+    def test_load_steps_price_a_load_in_replayed_deltas(self):
+        log = AccessLog(clock=ManualClock())
+        log.record_load("live", 0.5)
+        assert log.load_steps("live") == 0.0  # no replay measured yet
+        log.record_read("live", "aa", distance=4, elapsed=0.4)
+        assert log.load_cost("live") == pytest.approx(0.5)
+        assert log.load_steps("live") == pytest.approx(5.0)
+        log.record_load("live", 1.0)
+        assert log.load_cost("live") == pytest.approx(0.7 * 0.5 + 0.3 * 1.0)
 
     def test_byte_estimate_is_running_mean(self):
         log = AccessLog(clock=ManualClock())
@@ -275,6 +289,40 @@ class TestAdaptiveCheckpointPolicy:
         fresh.materialise("live", digests[3])
         placed = [record.digest for record in fresh.checkpoints("live")]
         assert digests[-1] in placed  # the head checkpoint stayed put
+
+    def test_measured_loads_route_reads_and_stay_out_of_step_cost(
+        self, tmp_path, monkeypatch
+    ):
+        pool, _, digests = _chain_pool(tmp_path, deltas=16, checkpoint_every=8)
+        # min_distance keeps the checkpoint layout (8 and the head, 16) fixed.
+        policy = AdaptiveCheckpointPolicy(
+            min_distance=100, clock=ManualClock(time.time())
+        )
+        fresh = _reopen(tmp_path, pool, checkpoint_policy=policy)
+        loads = []
+        load = CacheCoordinator.load_checkpoint
+
+        def slow_load(self, token):
+            loads.append(token)
+            time.sleep(0.05)
+            return load(self, token)
+
+        monkeypatch.setattr(CacheCoordinator, "load_checkpoint", slow_load)
+        replays = []
+        apply_delta = Database.apply_delta
+        monkeypatch.setattr(
+            Database,
+            "apply_delta",
+            lambda self, delta: replays.append(delta) or apply_delta(self, delta),
+        )
+        # Cold, the checkpoint at 8 is 2 deltas from 6, the head 10.
+        fresh.materialise("live", digests[6])
+        assert (len(loads), len(replays)) == (1, 2)
+        assert policy.log.load_cost("live") >= 0.05
+        assert policy.log.step_cost("live") < 0.01  # the load is not replay
+        # Now a load is priced above the 6 deltas from 10 to the head.
+        fresh.materialise("live", digests[10])
+        assert (len(loads), len(replays)) == (1, 8)
 
     def test_decision_truthiness(self):
         assert not CheckpointDecision()
