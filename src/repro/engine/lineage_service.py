@@ -351,18 +351,14 @@ class LineageService:
         served the read without replaying; the read still counts (a hot
         digest is hot however it was served) with distance/cost zero.
         ``loads`` are the seconds of the checkpoint loads the read made:
-        each is reported to the policy, and their sum is taken out of
-        ``elapsed``, so the per-step cost measures replay alone.  The
-        distance is the one the replay walked, from the source ranked
-        with ``load_cost``.  The policy's decision is executed
-        immediately: promotions are honoured only for the digest just
-        materialised (the one database this service holds without extra
-        work), demotions for any checkpointed digest except the live head.
+        they go to the policy, and their sum is taken out of ``elapsed``,
+        so the per-step cost measures replay alone.  The distance is the
+        one the replay walked, from the source ranked with ``load_cost``.
+        The policy's decision is executed immediately: promotions are
+        honoured only for the digest just materialised (the one database
+        this service holds without extra work), demotions for any
+        checkpointed digest except the live head.
         """
-        policy = self._policy
-        assert policy is not None
-        for seconds in loads:
-            policy.after_load(name, seconds)
         head = chain.head
         head_digest = head.digest if head is not None else ""
         distance = 0
@@ -377,13 +373,14 @@ class LineageService:
                 or 0
             )
             elapsed = max(elapsed - sum(loads), 0.0)
-        decision = policy.after_read(
+        decision = self._policy.after_read(  # type: ignore[union-attr]
             name,
             head_digest,
             record.digest,
             set(self._checkpoints.get(name, {})),
             distance,
             elapsed if elapsed is not None else 0.0,
+            loads=tuple(loads),
         )
         if record.digest in decision.promote:
             self.checkpoint_at(name, record, snapshot)

@@ -19,9 +19,10 @@ module is the loop:
   behaviour ``checkpoint_every`` always had) and
   :class:`AdaptiveCheckpointPolicy`, which cuts a checkpoint at a chain
   position only when the modeled saving
-  ``expected_reads x replay_distance x per_step_cost`` exceeds the
-  modeled byte cost of materialising it — and demotes checkpoints whose
-  read rate has decayed away.
+  ``expected_reads x replay_distance x per_step_cost`` (less a load per
+  read, for reads that replayed from memory) exceeds the modeled byte
+  cost of materialising it — and demotes checkpoints whose read rate
+  has decayed away.
 * :func:`split_byte_budget` — the GC half of the loop: split one global
   byte budget across entry kinds (``*.sel`` / ``*.dec`` / ``*.snp`` /
   ``*.cal``) proportional to each kind's observed hit-rate-per-byte,
@@ -48,7 +49,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "AccessLog",
@@ -230,8 +231,8 @@ class AccessLog:
         """``expected_reads x replay_distance x per_step_cost`` in seconds.
 
         The projected replay seconds per decay window that a checkpoint
-        at ``digest`` would erase — the left-hand side of the adaptive
-        policy's cut rule.
+        at ``digest`` would erase; the adaptive policy's cut rule takes
+        one load per read off it for reads served from memory.
         """
         return self.read_rate(name, digest) * distance * self.step_cost(name)
 
@@ -276,11 +277,10 @@ class CheckpointPolicy(abc.ABC):
     The lineage service consults the policy at its two observation
     points: :meth:`after_read` once per ``as_of`` resolution (with the
     measured replay distance and elapsed time) and :meth:`after_delta`
-    once per recorded effective delta.  It also reports every checkpoint
-    load (:meth:`after_load`) and asks :meth:`load_cost` how to price a
-    load when it picks a replay source.  Policies are plain picklable
-    objects — they travel to shard workers inside the process-pool
-    initargs.
+    once per recorded effective delta, and asks :meth:`load_cost` how to
+    price a checkpoint load when it picks a replay source.  Policies are
+    plain picklable objects — they travel to shard workers inside the
+    process-pool initargs.
     """
 
     @abc.abstractmethod
@@ -292,8 +292,14 @@ class CheckpointPolicy(abc.ABC):
         checkpointed: Set[str],
         distance: int,
         elapsed: float,
+        loads: Sequence[float] = (),
     ) -> CheckpointDecision:
-        """React to one resolved ``as_of`` read of ``digest``."""
+        """React to one resolved ``as_of`` read of ``digest``.
+
+        ``distance`` is the delta count the read replayed and ``elapsed``
+        the seconds that replay took; ``loads`` are the seconds of the
+        checkpoint loads the read made on the way (not in ``elapsed``).
+        """
 
     @abc.abstractmethod
     def after_delta(
@@ -309,9 +315,6 @@ class CheckpointPolicy(abc.ABC):
         which is all an interval policy needs; adaptive policies keep
         their own observations.
         """
-
-    def after_load(self, name: str, elapsed: float) -> None:
-        """Observe one checkpoint snapshot load of ``name`` (``elapsed`` s)."""
 
     def load_cost(self, name: str) -> float:
         """The price of one checkpoint load of ``name``, in replayed deltas.
@@ -353,6 +356,7 @@ class FixedIntervalPolicy(CheckpointPolicy):
         checkpointed: Set[str],
         distance: int,
         elapsed: float,
+        loads: Sequence[float] = (),
     ) -> CheckpointDecision:
         return NO_DECISION
 
@@ -384,16 +388,19 @@ class AdaptiveCheckpointPolicy(CheckpointPolicy):
     After each ``as_of`` replay the policy feeds its :class:`AccessLog`
     and scores the position just read:
 
-    ``read_rate x distance x step_cost  >  byte_cost x snapshot_bytes``
+    ``read_rate x (distance x step_cost - load)  >  byte_cost x snapshot_bytes``
 
     — the projected replay seconds a checkpoint there would erase per
     decay window, against the priced byte cost of materialising it.
+    ``load`` is the measured cost of one checkpoint load when the read
+    replayed from memory (served from a checkpoint there instead, it
+    would pay that load) and 0 when the read already loaded one.
     ``byte_cost`` is in seconds-per-byte; ``0.0`` (the default) means
     bytes are free and any repeatedly-replayed position at distance >=
-    ``min_distance`` earns a checkpoint — the GC byte budget, not the
-    cut rule, then bounds the snapshot footprint.  ``min_distance``
-    keeps near-head reads (cheap replays from the in-memory head) from
-    being materialised at all.
+    ``min_distance`` whose replay outweighs a load earns a checkpoint —
+    the GC byte budget, not the cut rule, then bounds the snapshot
+    footprint.  ``min_distance`` keeps near-head reads (cheap replays
+    from the in-memory head) from being materialised at all.
 
     Checkpoints the policy has promoted are **demoted** again when their
     decayed read rate falls below ``demote_below`` (``None`` disables
@@ -404,11 +411,10 @@ class AdaptiveCheckpointPolicy(CheckpointPolicy):
     observed reads, which is what keeps the snapshot footprint lean on
     write-heavy chains.
 
-    The policy also prices replay sources: :meth:`load_cost` is the
-    measured cost of one checkpoint load in replayed deltas (see
-    :meth:`AccessLog.load_steps`), so a read replays from the head
-    whenever that is cheaper than loading a nearer checkpoint.  The cut
-    rule above does not weigh that load cost yet.
+    The same measurements price replay sources: :meth:`load_cost` is one
+    checkpoint load in replayed deltas (see :meth:`AccessLog.load_steps`),
+    so a read replays from the head whenever that is cheaper than
+    loading a nearer checkpoint.
     """
 
     def __init__(
@@ -441,16 +447,22 @@ class AdaptiveCheckpointPolicy(CheckpointPolicy):
         checkpointed: Set[str],
         distance: int,
         elapsed: float,
+        loads: Sequence[float] = (),
     ) -> CheckpointDecision:
+        for seconds in loads:
+            self.log.record_load(name, seconds)
         self.log.record_read(name, digest, distance, elapsed)
+        rate = self.log.read_rate(name, digest)
+        saving = self.log.modeled_saving(name, digest, distance)
+        if not loads:
+            saving -= rate * self.log.load_cost(name)
         promote: Tuple[str, ...] = ()
         if (
             digest not in checkpointed
             and digest != head_digest
             and distance >= self.min_distance
-            and self.log.read_rate(name, digest) > self.min_rate
-            and self.log.modeled_saving(name, digest, distance)
-            > self.byte_cost * self.log.byte_estimate(name)
+            and rate > self.min_rate
+            and saving > self.byte_cost * self.log.byte_estimate(name)
         ):
             promote = (digest,)
             self._promoted.add(digest)
@@ -465,9 +477,6 @@ class AdaptiveCheckpointPolicy(CheckpointPolicy):
         checkpointed_sequences: Set[int],
     ) -> CheckpointDecision:
         return NO_DECISION
-
-    def after_load(self, name: str, elapsed: float) -> None:
-        self.log.record_load(name, elapsed)
 
     def load_cost(self, name: str) -> float:
         return self.log.load_steps(name)

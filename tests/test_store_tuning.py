@@ -15,8 +15,9 @@ What is pinned here:
   feeds observed snapshot bytes back, demotes a checkpoint whose decayed
   read rate falls below ``demote_below`` — and never demotes the head;
   it prices a checkpoint load in replayed deltas from measured load and
-  step costs, so a read replays from the head when that is cheaper, and
-  load time never counts as replay time;
+  step costs, so a read replays from the head when that is cheaper, load
+  time never counts as replay time, and a position read from memory
+  earns a checkpoint only when its replay costs more than a load;
 * stores expose ``bytes`` in ``stats()`` (and through
   ``SolverPool.cache_stats``), age GC reads the injected clock, and
   byte-bounded GC evicts cold entries first while **pinned live-head
@@ -323,6 +324,23 @@ class TestAdaptiveCheckpointPolicy:
         # Now a load is priced above the 6 deltas from 10 to the head.
         fresh.materialise("live", digests[10])
         assert (len(loads), len(replays)) == (1, 8)
+
+    def test_cut_rule_weighs_a_measured_load(self):
+        policy = AdaptiveCheckpointPolicy(min_distance=1, clock=ManualClock(0.0))
+
+        def promoted(digest, distance, loads=()):
+            decision = policy.after_read(
+                "live", "hh", digest, set(), distance, distance * 0.001, loads=loads
+            )
+            return decision.promote == (digest,)
+
+        assert promoted("aa", 4)  # no load measured yet: any replay pays
+        # A read that loaded a checkpoint would save its whole replay.
+        assert promoted("bb", 2, loads=(0.010,))
+        # Read from memory, 5 ms of replay cannot pay for a 10 ms load,
+        assert not promoted("cc", 5)
+        # but 20 ms can.
+        assert promoted("dd", 20)
 
     def test_decision_truthiness(self):
         assert not CheckpointDecision()
