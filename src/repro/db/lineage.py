@@ -34,8 +34,8 @@ historical counts through ``CountJob.as_of``; ``repro history`` prints it.
 
 from __future__ import annotations
 
+import heapq
 import string
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -45,7 +45,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -385,7 +384,7 @@ class Lineage:
         checkpoints: Optional[CheckpointLoaders] = None,
         load_cost: float = 0.0,
     ) -> Database:
-        """Reconstruct the snapshot ``target_digest`` from the closest source.
+        """Reconstruct the snapshot ``target_digest`` from the cheapest source.
 
         ``database`` may be *any* materialised snapshot whose digest
         appears on (or connects to) the chain — in practice the head.  The
@@ -395,76 +394,48 @@ class Lineage:
 
         ``checkpoints`` optionally maps checkpointed digests to lazy
         snapshot loaders (see :data:`CheckpointLoaders`).  Replay then
-        starts from the **closest** available source — the provided
+        starts from the **cheapest** available source — the provided
         database or any loadable checkpoint — so resolving a deep
         reference on a long, checkpointed chain replays
         ``O(distance to the nearest checkpoint)`` deltas instead of the
         whole chain.  A loader returning ``None`` (missing or damaged
-        snapshot entry) simply demotes that checkpoint; the next closest
+        snapshot entry) simply demotes that checkpoint; the next cheapest
         source is used instead.
 
         ``load_cost`` prices one checkpoint load in replayed deltas: a
         checkpoint at distance ``d`` costs ``d + load_cost``, the provided
         database costs its distance, and the cheapest source wins (ties go
-        to the provided database).  The default 0.0 ranks by distance
-        alone; a measured price keeps a near-head read from loading a
-        snapshot that costs more than the replay it saves.
+        to the provided database, then to checkpoints by digest).  The
+        default 0.0 ranks by distance alone; a measured price keeps a
+        near-head read from loading a snapshot that costs more than the
+        replay it saves.
 
         Whatever the source, the result's ``content_digest`` is checked
         against ``target_digest`` — a corrupt or incomplete history fails
-        loudly instead of producing a wrong database.
+        loudly instead of producing a wrong database.  This is the
+        one-target case of :meth:`materialise_range`.
         """
-        source_digest = database.content_digest()
-        if source_digest == target_digest:
-            return database
-
-        edges = self._delta_edges()
-        # One BFS *from the target* ranks the possible sources by replay
-        # distance; it settles predecessor pointers (not whole paths) and
-        # stops as soon as every wanted source is found, so resolving a
-        # near ancestor of a long chain never walks the whole graph.
-        wanted = {source_digest, *(checkpoints or ())}
-        previous, distance = self._search_from(edges, target_digest, wanted)
-
-        for _, rank, digest in self._ranked_sources(
-            distance, source_digest, checkpoints, load_cost
-        ):
-            if rank == 0:
-                source: Optional[Database] = database
-            else:
-                source = checkpoints[digest]()  # type: ignore[index]
-                if source is None or source.content_digest() != digest:
-                    continue  # lost/damaged checkpoint: fall back, never fail
-            current = source
-            for delta, forward in self._replay_path(previous, digest):
-                current = current.apply_delta(delta if forward else delta.inverse())
-            if current.content_digest() != target_digest:
-                raise LineageError(
-                    f"replaying the recorded chain of {self._name!r} produced "
-                    f"{current.content_digest()[:12]} instead of "
-                    f"{target_digest[:12]}; the lineage log is corrupt"
-                )
-            return current
-        raise LineageError(
-            f"no recorded delta chain of {self._name!r} connects "
-            f"{source_digest[:12]} to {target_digest[:12]} (history may "
-            f"have been lost, or the snapshots belong to unrelated roots)"
+        ((_, snapshot),) = self.materialise_range(
+            database, [target_digest], checkpoints, load_cost
         )
+        return snapshot
 
     def materialise_range(
         self,
         database: Database,
         target_digests: Sequence[str],
         checkpoints: Optional[CheckpointLoaders] = None,
+        load_cost: float = 0.0,
+        replayed: Optional[Dict[str, int]] = None,
     ) -> Iterator[Tuple[str, Database]]:
         """Reconstruct *many* recorded snapshots in one shared replay walk.
 
-        The amortised sibling of :meth:`materialise`: instead of one BFS
-        and one replay per target, a single multi-source BFS (seeded with
-        the provided ``database`` and every checkpointed digest, exactly
-        the entry points :meth:`materialise` ranks) settles **all**
-        targets at once, the per-target shortest paths are unioned into a
-        replay tree, and the chain is walked once — each requested
+        The one replay walk, of which :meth:`materialise` is the
+        one-target case: one priced search (:meth:`_plan`, entered at the
+        provided ``database`` and at every checkpointed digest, priced
+        as :meth:`materialise` describes) settles **all** targets at
+        once, the per-target cheapest paths are unioned into a replay
+        tree, and the chain is walked once — each requested
         ``(digest, Database)`` pair is yielded as the walk passes it, so
         N versions of one chain segment cost ``O(chain length)`` delta
         applications instead of ``O(N × chain length)``.
@@ -475,8 +446,10 @@ class Lineage:
         are re-planned against the remaining entry points.  Duplicate
         target digests are collapsed; each distinct digest is yielded
         once.  Snapshots materialised early in the walk join the entry
-        points for the rest of it, so later targets never replay further
-        than they would have independently.
+        points, free, for the rest of it, so no target costs more than it
+        would independently.  With ``replayed``, the walk records for each
+        yielded digest how many deltas it applied since the previous
+        yield — the work behind that one snapshot.
 
         >>> from repro.db import Database, Delta, fact
         >>> root = Database([fact("R", 1, "a")]).freeze()
@@ -497,35 +470,17 @@ class Lineage:
         >>> resolved[head.content_digest()] == head
         True
         """
-        targets = list(dict.fromkeys(target_digests))
-        if not targets:
-            return
         source_digest = database.content_digest()
         loaders = dict(checkpoints or {})
-
         # In-memory entry points, in acquisition order: the provided
-        # database first (materialise's rank-0 tie-break), then every
-        # target materialised earlier in this very walk.
+        # database first, then every target materialised earlier in this
+        # very walk.
         in_memory: Dict[str, Database] = {source_digest: database}
-        pending: List[str] = []
-        for digest in targets:
-            if digest == source_digest:
-                yield (digest, database)
-            else:
-                pending.append(digest)
-
-        edges = self._delta_edges()
+        pending = list(dict.fromkeys(target_digests))
         while pending:
-            # Seed order fixes the tie-break among equal-distance entry
-            # points: in-memory snapshots outrank checkpoints (nothing to
-            # load), checkpoints tie-break deterministically by digest.
-            seeds = list(in_memory) + sorted(
-                digest for digest in loaders if digest not in in_memory
-            )
-            previous, origin, distance = self._search_from_seeds(
-                edges, seeds, set(pending)
-            )
-            unreachable = [digest for digest in pending if digest not in distance]
+            entries = list(in_memory) + sorted(set(loaders) - set(in_memory))
+            settled, via = self._plan(entries, len(in_memory), load_cost, pending)
+            unreachable = [digest for digest in pending if digest not in settled]
             if unreachable:
                 # Entry points are only ever *removed* on a lost
                 # checkpoint and *added* on a successful materialisation,
@@ -536,41 +491,37 @@ class Lineage:
                     f"(history may have been lost, or the snapshots belong "
                     f"to unrelated roots)"
                 )
-            groups: Dict[str, List[str]] = {}
-            for digest in pending:
-                groups.setdefault(origin[digest], []).append(digest)
-            entry = next(seed for seed in seeds if seed in groups)
-            if entry in in_memory:
-                base = in_memory[entry]
-            else:
-                loaded = loaders[entry]()
-                if loaded is None or loaded.content_digest() != entry:
+            rank = min(settled[digest][0] for digest in pending)
+            entry = entries[rank]
+            base = in_memory.get(entry)
+            if base is None:
+                base = loaders[entry]()
+                if base is None or base.content_digest() != entry:
                     # Lost/damaged checkpoint: demote silently and
                     # re-plan its targets from the remaining entries.
                     del loaders[entry]
                     continue
-                base = loaded
-
-            wanted = set(groups[entry])
+            group = [digest for digest in pending if settled[digest][0] == rank]
+            wanted = set(group)
             if entry in wanted:
-                # A target that is itself a checkpoint: loaded and
-                # digest-verified above, zero deltas to replay.
+                # A target that is itself an entry point: in memory, or
+                # loaded and digest-verified above, zero deltas to replay.
+                if replayed is not None:
+                    replayed[entry] = 0
                 yield (entry, base)
                 in_memory[entry] = base
 
-            # Union the BFS-tree paths entry -> target into a replay
-            # tree.  BFS parents are unique, so walking each target back
+            # Union the search-tree paths entry -> target into a replay
+            # tree.  Each digest settles once, so walking each target back
             # until a node already in the tree yields a well-formed tree
             # whose edge count is at most the sum of the path lengths.
             children: Dict[str, List[Tuple[str, Delta, bool]]] = {}
             in_tree = {entry}
-            for target in groups[entry]:
-                if target == entry:
-                    continue
+            for target in group:
                 path: List[Tuple[str, str, Delta, bool]] = []
                 node = target
                 while node not in in_tree:
-                    parent, delta, forward = previous[node]
+                    parent, delta, forward = via[node]
                     path.append((parent, node, delta, forward))
                     node = parent
                 for parent, child, delta, forward in reversed(path):
@@ -579,16 +530,19 @@ class Lineage:
                     )
                     in_tree.add(child)
 
-            # Walk the tree once.  Edges were traversed entry -> target,
-            # so each is applied in its *stored* orientation (the
-            # opposite of _replay_path, which walks target -> source).
+            # Walk the tree once.  The search ran from the entry points
+            # towards the targets, so each edge is already in replay
+            # orientation.  Every leaf of the tree is a target, so each
+            # applied delta is counted towards the next yield.
             stack: List[Tuple[str, Database]] = [(entry, base)]
+            walked = 0
             while stack:
                 node, state = stack.pop()
                 for child, delta, forward in children.get(node, ()):
                     branch = state.apply_delta(
                         delta if forward else delta.inverse()
                     )
+                    walked += 1
                     if child in wanted:
                         if branch.content_digest() != child:
                             raise LineageError(
@@ -597,6 +551,9 @@ class Lineage:
                                 f"{branch.content_digest()[:12]} instead of "
                                 f"{child[:12]}; the lineage log is corrupt"
                             )
+                        if replayed is not None:
+                            replayed[child] = walked
+                        walked = 0
                         yield (child, branch)
                         in_memory[child] = branch
                     stack.append((child, branch))
@@ -612,47 +569,22 @@ class Lineage:
         """How many deltas :meth:`materialise` would replay, or ``None``.
 
         The cost model of checkpoint compaction, queryable without doing
-        the work: the delta distance from ``target_digest`` to the source
-        :meth:`materialise` would pick for the same ``load_cost`` — with
-        the default 0.0, the nearest of ``source_digest`` and the
-        checkpointed digests (loaders are *not* invoked — a lost snapshot
-        entry may make the real replay longer).
+        the work: the same planner :meth:`materialise` runs, entered at
+        ``source_digest`` and the checkpointed digests with the same
+        ``load_cost``, without the walk.  Loaders are *not* invoked, so a
+        lost snapshot entry may make the real replay longer.
         """
-        if source_digest == target_digest:
-            return 0
-        wanted = {source_digest, *(checkpoints or ())}
-        _, distance = self._search_from(self._delta_edges(), target_digest, wanted)
-        ranked = self._ranked_sources(distance, source_digest, checkpoints, load_cost)
-        return distance[ranked[0][2]] if ranked else None
-
-    @staticmethod
-    def _ranked_sources(
-        distance: Dict[str, int],
-        source_digest: str,
-        checkpoints: Optional[CheckpointLoaders],
-        load_cost: float,
-    ) -> List[Tuple[float, int, str]]:
-        """The reachable sources, cheapest first, as ``(cost, rank, digest)``.
-
-        A source costs its replay distance, plus ``load_cost`` for a
-        checkpoint (rank 1); the provided database (rank 0) wins ties,
-        since there is no snapshot entry to load.
-        """
-        ranked: List[Tuple[float, int, str]] = []
-        if source_digest in distance:
-            ranked.append((distance[source_digest], 0, source_digest))
-        for digest in checkpoints or ():
-            if digest in distance and digest != source_digest:
-                ranked.append((distance[digest] + load_cost, 1, digest))
-        return sorted(ranked)
+        entries = [source_digest] + sorted(set(checkpoints or ()) - {source_digest})
+        settled, _ = self._plan(entries, 1, load_cost, [target_digest])
+        return settled[target_digest][1] if target_digest in settled else None
 
     def _delta_edges(self) -> Dict[str, List[Tuple[str, Delta, bool]]]:
         """The bidirectional digest graph of the recorded delta records.
 
         Memoised on the instance: the records tuple is immutable, so the
-        adjacency map never changes — and the adaptive checkpoint policy
-        probes :meth:`replay_distance` after every read, which made the
-        per-call rebuild a measurable hot spot on long chains.
+        adjacency map never changes — and every replayed read plans over
+        it, which made the per-call rebuild a measurable hot spot on long
+        chains.
         """
         if self._edges is None:
             edges: Dict[str, List[Tuple[str, Delta, bool]]] = {}
@@ -669,102 +601,58 @@ class Lineage:
             self._edges = edges
         return self._edges
 
-    @staticmethod
-    def _search_from(
-        edges: Dict[str, List[Tuple[str, Delta, bool]]],
-        start: str,
-        wanted: Set[str],
-    ) -> Tuple[Dict[str, Tuple[str, Delta, bool]], Dict[str, int]]:
-        """BFS from ``start``: predecessor pointers and hop distances.
+    def _plan(
+        self,
+        entries: Sequence[str],
+        free: int,
+        load_cost: float,
+        targets: Sequence[str],
+    ) -> Tuple[Dict[str, Tuple[int, int]], Dict[str, Tuple[str, Delta, bool]]]:
+        """The replay planner: one priced search from every entry point.
 
-        Stores O(1) per settled digest (parent pointer + distance), not a
-        path — paths are reconstructed on demand by :meth:`_replay_path`
-        for the one candidate actually replayed — and stops as soon as
-        every digest in ``wanted`` has been settled, so a near source on
-        a long chain costs its distance, not the chain length.
+        ``entries`` are the materialised sources in rank order; the first
+        ``free`` are in memory and start at cost 0, the rest are
+        checkpoints and start at ``load_cost``, and every delta costs 1.
+        Returns ``settled`` — digest -> ``(rank, hops)`` of the cheapest
+        entry, ties going to the lower rank — and ``via`` — digest -> the
+        ``(parent, delta, forward)`` edge the search reached it by, already
+        in replay orientation.  The search stops once every target has
+        settled, so a near source on a long chain costs its distance, not
+        the chain length.
         """
-        previous: Dict[str, Tuple[str, Delta, bool]] = {}
-        distance: Dict[str, int] = {start: 0}
-        remaining = set(wanted) - {start}
-        queue: "deque[str]" = deque([start])
+        edges = self._delta_edges()
+        settled: Dict[str, Tuple[int, int]] = {}
+        via: Dict[str, Tuple[str, Delta, bool]] = {}
+        # (cost, rank, push order, hops, digest, edge): the push order
+        # pops equal (cost, rank) items first in, first out, so with free
+        # loads the search settles every digest exactly as a multi-source
+        # breadth-first search would.
+        queue: List[
+            Tuple[float, int, int, int, str, Optional[Tuple[str, Delta, bool]]]
+        ] = [
+            (0.0 if rank < free else load_cost, rank, rank, 0, digest, None)
+            for rank, digest in enumerate(entries)
+        ]
+        heapq.heapify(queue)
+        pushed = len(queue)
+        remaining = set(targets)
         while queue and remaining:
-            digest = queue.popleft()
-            for neighbour, delta, forward in edges.get(digest, ()):
-                if neighbour in distance:
-                    continue
-                # In an unweighted BFS the distance is final at discovery.
-                distance[neighbour] = distance[digest] + 1
-                previous[neighbour] = (digest, delta, forward)
-                remaining.discard(neighbour)
-                queue.append(neighbour)
-        return previous, distance
-
-    @staticmethod
-    def _search_from_seeds(
-        edges: Dict[str, List[Tuple[str, Delta, bool]]],
-        seeds: Sequence[str],
-        wanted: Set[str],
-    ) -> Tuple[
-        Dict[str, Tuple[str, Delta, bool]],
-        Dict[str, str],
-        Dict[str, int],
-    ]:
-        """Multi-source BFS: predecessor pointers, origin seed, distances.
-
-        All seeds start at distance 0, so every settled digest records
-        the *nearest* seed (``origin``) — exactly the candidate ranking
-        :meth:`materialise` computes one target at a time.  Because the
-        queue is seeded in order, equal-distance ties break towards the
-        earlier seed (FIFO keeps each depth level in seed order), and the
-        search stops once every digest in ``wanted`` has been settled.
-
-        Unlike :meth:`_search_from`, the traversal runs *from* the entry
-        points *towards* the targets, so each predecessor edge is already
-        in replay orientation — no flip on walk-back.
-        """
-        previous: Dict[str, Tuple[str, Delta, bool]] = {}
-        origin: Dict[str, str] = {}
-        distance: Dict[str, int] = {}
-        queue: "deque[str]" = deque()
-        for seed in seeds:
-            if seed in distance:
+            cost, rank, _, hops, digest, edge = heapq.heappop(queue)
+            if digest in settled:
                 continue
-            distance[seed] = 0
-            origin[seed] = seed
-            queue.append(seed)
-        remaining = set(wanted) - set(distance)
-        while queue and remaining:
-            digest = queue.popleft()
+            settled[digest] = (rank, hops)
+            if edge is not None:
+                via[digest] = edge
+            remaining.discard(digest)
             for neighbour, delta, forward in edges.get(digest, ()):
-                if neighbour in distance:
-                    continue
-                distance[neighbour] = distance[digest] + 1
-                previous[neighbour] = (digest, delta, forward)
-                origin[neighbour] = origin[digest]
-                remaining.discard(neighbour)
-                queue.append(neighbour)
-        return previous, origin, distance
-
-    @staticmethod
-    def _replay_path(
-        previous: Dict[str, Tuple[str, Delta, bool]],
-        source: str,
-    ) -> List[Tuple[Delta, bool]]:
-        """The edges to replay from ``source`` back to the BFS start.
-
-        ``previous[child] = (parent, delta, forward)`` records that BFS
-        reached ``child`` from ``parent`` by traversing the delta with
-        ``forward`` orientation; replaying source->start walks each edge
-        the *other* way, so every orientation flips — and because the
-        walk itself runs source->start, the flipped edges are already in
-        replay order.
-        """
-        steps: List[Tuple[Delta, bool]] = []
-        digest = source
-        while digest in previous:
-            digest, delta, forward = previous[digest]
-            steps.append((delta, not forward))
-        return steps
+                if neighbour not in settled:
+                    heapq.heappush(
+                        queue,
+                        (cost + 1, rank, pushed, hops + 1, neighbour,
+                         (digest, delta, forward)),
+                    )
+                    pushed += 1
+        return settled, via
 
     def __repr__(self) -> str:
         head = self.head.digest[:12] if self.head else "<empty>"

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..db.constraints import PrimaryKeySet
 from ..db.database import Database
@@ -50,6 +50,11 @@ from .cache_coordinator import CacheCoordinator
 from .registry import SnapshotRegistry, SnapshotToken
 
 __all__ = ["LineageService"]
+
+#: What one replayed read reports to the policy: the seconds of the walk
+#: (checkpoint loads included), the seconds of each checkpoint load it
+#: made, and the deltas it replayed.
+_Replay = Tuple[float, Tuple[float, ...], int]
 
 
 class LineageService:
@@ -74,7 +79,6 @@ class LineageService:
         self._registry = registry
         self._caches = caches
         self._catalog = caches.catalog
-        self._checkpoint_every = checkpoint_every
         self._policy: Optional[CheckpointPolicy] = checkpoint_policy
         if checkpoint_every is not None:
             self._policy = FixedIntervalPolicy(checkpoint_every)
@@ -211,31 +215,19 @@ class LineageService:
         token = (record.digest, record.keys_digest)
         if token == self._registry.token(name):
             return database, keys, token
-        if record.keys_digest != keys.content_digest():
-            raise LineageError(
-                f"snapshot {record.digest[:12]} of {name!r} was recorded "
-                f"under different key constraints; its lineage cannot be "
-                f"replayed against the current keys"
-            )
-        loads: List[float] = []
-        loaders = self.checkpoint_loaders(name, loads)
-        load_cost = self._policy.load_cost(name) if self._policy is not None else 0.0
-        replay: Dict[str, float] = {}
+        self._check_keys(name, record, keys.content_digest())
+        replays: List[_Replay] = []
 
         def factory() -> Database:
-            started = time.perf_counter()
-            snapshot = chain.materialise(
-                database, record.digest, checkpoints=loaders, load_cost=load_cost
-            ).freeze()
-            replay["elapsed"] = time.perf_counter() - started
+            ((_, snapshot, replay),) = self._replay(
+                name, chain, database, [record.digest]
+            )
+            replays.append(replay)
             return snapshot
 
         snapshot = self._caches.materialised(token, factory)
         if self._policy is not None:
-            self._observe_read(
-                name, chain, record, snapshot, replay.get("elapsed"), loads,
-                load_cost,
-            )
+            self._observe_read(name, record, snapshot, *replays)
         return snapshot, keys, token
 
     def materialise_range(
@@ -245,10 +237,10 @@ class LineageService:
 
         The amortised sibling of :meth:`materialise`, same per-reference
         contract (resolution, key-constraint check, digest-verified
-        replay, token-keyed caching, tuning-policy observation) but one
-        planned route: references the materialised-ancestor cache cannot
-        serve are sorted by chain position and handed to
-        :meth:`Lineage.materialise_range
+        replay from the cheapest sources, token-keyed caching,
+        tuning-policy observation) but one planned route: references the
+        materialised-ancestor cache cannot serve are sorted by chain
+        position and handed to :meth:`Lineage.materialise_range
         <repro.db.lineage.Lineage.materialise_range>`, which replays the
         chain **once** for all of them.  Each yielded snapshot is fed
         through the cache coordinator (so the token-keyed selector and
@@ -269,12 +261,7 @@ class LineageService:
             if token == head_token:
                 resolved[record.digest] = database
                 continue
-            if record.keys_digest != keys_digest:
-                raise LineageError(
-                    f"snapshot {record.digest[:12]} of {name!r} was recorded "
-                    f"under different key constraints; its lineage cannot be "
-                    f"replayed against the current keys"
-                )
+            self._check_keys(name, record, keys_digest)
             if record.digest in resolved or record.digest in missing:
                 continue
             if self._caches.has_materialised(token):
@@ -283,32 +270,19 @@ class LineageService:
                 )
                 resolved[record.digest] = snapshot
                 if self._policy is not None:
-                    self._observe_read(name, chain, record, snapshot, None)
+                    self._observe_read(name, record, snapshot)
             else:
                 missing[record.digest] = record
-        if missing:
-            ordered = sorted(missing.values(), key=lambda record: record.sequence)
-            loads: List[float] = []
-            loaders = self.checkpoint_loaders(name, loads)
-            reported = 0
-            started = time.perf_counter()
-            for digest, snapshot in chain.materialise_range(
-                database,
-                [record.digest for record in ordered],
-                checkpoints=loaders,
-            ):
-                snapshot = snapshot.freeze()
-                record = missing[digest]
-                token = (digest, record.keys_digest)
-                snapshot = self._caches.materialised(token, lambda: snapshot)
-                resolved[digest] = snapshot
-                elapsed = time.perf_counter() - started
-                if self._policy is not None:
-                    self._observe_read(
-                        name, chain, record, snapshot, elapsed, loads[reported:]
-                    )
-                reported = len(loads)
-                started = time.perf_counter()
+        ordered = sorted(missing.values(), key=lambda record: record.sequence)
+        for digest, snapshot, replay in self._replay(
+            name, chain, database, [record.digest for record in ordered]
+        ):
+            record = missing[digest]
+            token = (digest, record.keys_digest)
+            snapshot = self._caches.materialised(token, lambda: snapshot)
+            resolved[digest] = snapshot
+            if self._policy is not None:
+                self._observe_read(name, record, snapshot, replay)
         return [
             (resolved[record.digest], keys, (record.digest, record.keys_digest))
             for record in records
@@ -335,52 +309,78 @@ class LineageService:
             for sequence in range(start.sequence, end.sequence + step, step)
         ]
 
+    @staticmethod
+    def _check_keys(name: str, record: LineageRecord, keys_digest: str) -> None:
+        """Refuse to replay a snapshot recorded under other key constraints."""
+        if record.keys_digest != keys_digest:
+            raise LineageError(
+                f"snapshot {record.digest[:12]} of {name!r} was recorded "
+                f"under different key constraints; its lineage cannot be "
+                f"replayed against the current keys"
+            )
+
+    def _replay(
+        self, name: str, chain: Lineage, database: Database, digests: Sequence[str]
+    ) -> Iterator[Tuple[str, Database, _Replay]]:
+        """Walk ``chain`` once from ``database`` to every digest in ``digests``.
+
+        The one replay path of both reads: checkpoint loads are priced by
+        the policy's :meth:`~repro.store.CheckpointPolicy.load_cost`, and
+        each digest is yielded with its frozen snapshot and its
+        :data:`_Replay` — the walk's seconds and checkpoint loads since the
+        previous yield, and the deltas it replayed.
+        """
+        loads: List[float] = []
+        replayed: Dict[str, int] = {}
+        load_cost = self._policy.load_cost(name) if self._policy is not None else 0.0
+        walk = chain.materialise_range(
+            database,
+            digests,
+            checkpoints=self.checkpoint_loaders(name, loads),
+            load_cost=load_cost,
+            replayed=replayed,
+        )
+        reported = 0
+        started = time.perf_counter()
+        for digest, snapshot in walk:
+            snapshot = snapshot.freeze()
+            elapsed = time.perf_counter() - started
+            replay = (elapsed, tuple(loads[reported:]), replayed[digest])
+            yield digest, snapshot, replay
+            reported = len(loads)
+            started = time.perf_counter()
+
     def _observe_read(
         self,
         name: str,
-        chain: Lineage,
         record: LineageRecord,
         snapshot: Database,
-        elapsed: Optional[float],
-        loads: Sequence[float] = (),
-        load_cost: float = 0.0,
+        replay: _Replay = (0.0, (), 0),
     ) -> None:
         """Feed one resolved ``as_of`` read to the checkpoint policy.
 
-        ``elapsed`` is ``None`` when the materialised-ancestor cache
-        served the read without replaying; the read still counts (a hot
-        digest is hot however it was served) with distance/cost zero.
-        ``loads`` are the seconds of the checkpoint loads the read made:
-        they go to the policy, and their sum is taken out of ``elapsed``,
-        so the per-step cost measures replay alone.  The distance is the
-        one the replay walked, from the source ranked with ``load_cost``.
-        The policy's decision is executed immediately: promotions are
-        honoured only for the digest just materialised (the one database
-        this service holds without extra work), demotions for any
-        checkpointed digest except the live head.
+        ``replay`` is what the walk reported for the read (see
+        :meth:`_replay`); the default is a read the materialised-ancestor
+        cache served, which still counts (a hot digest is hot however it
+        was served) with distance and cost zero.  The load seconds go to
+        the policy, and their sum is taken out of the replay seconds, so
+        the per-step cost measures replay alone.  The policy's decision
+        is executed immediately: promotions are honoured only for the
+        digest just materialised (the one database this service holds
+        without extra work), demotions for any checkpointed digest except
+        the live head.
         """
-        head = chain.head
+        elapsed, loads, distance = replay
+        head = self.chain(name).head
         head_digest = head.digest if head is not None else ""
-        distance = 0
-        if elapsed is not None:
-            distance = (
-                chain.replay_distance(
-                    head_digest,
-                    record.digest,
-                    checkpoints=self.checkpoint_loaders(name),
-                    load_cost=load_cost,
-                )
-                or 0
-            )
-            elapsed = max(elapsed - sum(loads), 0.0)
         decision = self._policy.after_read(  # type: ignore[union-attr]
             name,
             head_digest,
             record.digest,
             set(self._checkpoints.get(name, {})),
             distance,
-            elapsed if elapsed is not None else 0.0,
-            loads=tuple(loads),
+            max(elapsed - sum(loads), 0.0),
+            loads=loads,
         )
         if record.digest in decision.promote:
             self.checkpoint_at(name, record, snapshot)
@@ -420,63 +420,36 @@ class LineageService:
         :meth:`compact`).  Off by default and loud when used: compaction
         trades time-travel reach for space.
         """
-        database, keys = self._registry.lookup(name)
+        database, _ = self._registry.lookup(name)
         if not self._caches.has_snapshot_store:
             raise EngineError(
                 "checkpoints need a persistent store; construct the pool "
                 "with persist_dir=..."
             )
         token = self._registry.token(name)
-        chain = self.chain(name)
-        head = chain.head
+        head = self.chain(name).head
         if head is None or (head.digest, head.keys_digest) != token:
             raise EngineError(
                 f"the chain of {name!r} does not end at the registered "
                 f"snapshot; cannot checkpoint"
             )
-        existing = self._checkpoints.get(name, {}).get(head.digest)
-        if (
-            existing is not None
-            and existing.sequence == head.sequence
-            and self._caches.has_checkpoint(existing.token)
-        ):
-            # Idempotent only while the marker names the *current* head
-            # position (a rollback can revisit a checkpointed digest at a
-            # new sequence — that position gets its own marker) and the
-            # snapshot payload still exists — an entry GC'd while the
-            # head was elsewhere must be re-stored, not silently trusted.
-            # The existence probe is cheap (no load); a present-but-
-            # damaged entry is demoted at load time and re-storable then.
-            if compact:
-                self.compact(name)
-            return existing
-        if not self._caches.store_checkpoint(token, database):
-            return None
-        record = CheckpointRecord(
-            name=name,
-            sequence=head.sequence,
-            digest=head.digest,
-            keys_digest=head.keys_digest,
-            wall_time=time.time(),
-        )
-        if self._catalog is not None:
-            self._catalog.record_checkpoint(record)
-        self._checkpoints.setdefault(name, {})[record.digest] = record
-        self._observe_checkpoint_bytes(name, record)
-        if compact:
+        record = self.checkpoint_at(name, head, database)
+        if record is not None and compact:
             self.compact(name)
         return record
 
     def checkpoint_at(
         self, name: str, record: LineageRecord, database: Database
     ) -> Optional[CheckpointRecord]:
-        """Persist a *non-head* chain position as a checkpoint.
+        """Persist the chain position ``record`` as a checkpoint.
 
-        The adaptive-placement path: the lineage service just replayed
-        ``record``'s snapshot for an ``as_of`` read and the policy judged
-        the position worth keeping materialised, so the database is in
-        hand and checkpointing it costs one store, no replay.  Same
-        idempotency and failure contract as :meth:`checkpoint`.
+        The one store path: :meth:`checkpoint` cuts the head through it,
+        and the adaptive-placement path cuts a position the lineage
+        service just replayed for an ``as_of`` read and the policy judged
+        worth keeping materialised — either way the database is in hand,
+        so checkpointing costs one store, no replay.  Returns the
+        checkpoint record, or ``None`` without a snapshot store or when
+        the store fails.
         """
         if not self._caches.has_snapshot_store:
             return None
@@ -487,6 +460,13 @@ class LineageService:
             and existing.sequence == record.sequence
             and self._caches.has_checkpoint(existing.token)
         ):
+            # Idempotent only while the marker names the *same* chain
+            # position (a rollback can revisit a checkpointed digest at a
+            # new sequence — that position gets its own marker) and the
+            # snapshot payload still exists — an entry GC'd while the
+            # head was elsewhere must be re-stored, not silently trusted.
+            # The existence probe is cheap (no load); a present-but-
+            # damaged entry is demoted at load time and re-storable then.
             return existing
         if not self._caches.store_checkpoint(token, database):
             return None
@@ -625,13 +605,14 @@ class LineageService:
     ) -> Dict[str, Callable[[], Optional[Database]]]:
         """Lazy digest -> database loaders for the name's checkpoints.
 
-        With ``timings``, every load appends its wall-clock seconds there.
+        With ``timings``, every load that returns a snapshot appends its
+        wall-clock seconds there; a failed load is no sample of the cost.
         """
 
         def loader(token: SnapshotToken) -> Optional[Database]:
             started = time.perf_counter()
             snapshot = self._caches.load_checkpoint(token)
-            if timings is not None:
+            if timings is not None and snapshot is not None:
                 timings.append(time.perf_counter() - started)
             return snapshot
 
@@ -643,5 +624,5 @@ class LineageService:
     def __repr__(self) -> str:
         return (
             f"LineageService(chains={list(self._chains)!r}, "
-            f"checkpoint_every={self._checkpoint_every})"
+            f"policy={self._policy!r})"
         )

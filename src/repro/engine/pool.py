@@ -190,8 +190,9 @@ class SolverPool:
     ) -> Tuple[Database, PrimaryKeySet, SnapshotToken]:
         """The (database, keys, token) of a recorded snapshot of ``name``.
 
-        Replayed (digest-verified) from the closest materialised source —
-        the head or the nearest loadable checkpoint — and cached by token.
+        Replayed (digest-verified) from the cheapest materialised source —
+        the head or a loadable checkpoint, a load priced by the checkpoint
+        policy — and cached by token.
         """
         return self._lineage.materialise(name, ref)
 
@@ -200,8 +201,8 @@ class SolverPool:
     ) -> List[Tuple[Database, PrimaryKeySet, SnapshotToken]]:
         """Materialise several recorded snapshots of ``name`` in one walk.
 
-        A shared-replay :meth:`materialise`: the refs are settled by one
-        breadth-first route over the delta chain (checkpoints as extra
+        A shared-replay :meth:`materialise`: the refs are settled by the
+        same priced search over the delta chain (checkpoints as extra
         entry points), the chain is replayed once, and every resolved
         snapshot is digest-verified and cached exactly as if requested
         alone.  Results come back in ``refs`` order.

@@ -53,7 +53,6 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "AccessLog",
-    "budget_usage",
     "AdaptiveCheckpointPolicy",
     "CheckpointDecision",
     "CheckpointPolicy",
@@ -559,18 +558,3 @@ def split_byte_budget(
             del hungry[kind]
     return shares
 
-
-def budget_usage(
-    layers: Mapping[str, object]
-) -> Dict[str, Tuple[float, int]]:
-    """The ``(decayed_hit_rate, bytes)`` usage map of a set of stores.
-
-    A convenience for callers holding the cache coordinator's disk-layer
-    map; each store must expose ``decayed_hit_rate()`` and
-    ``total_bytes()`` (every :class:`~repro.store.ContentAddressedStore`
-    does).
-    """
-    return {
-        kind: (store.decayed_hit_rate(), store.total_bytes())  # type: ignore[attr-defined]
-        for kind, store in layers.items()
-    }

@@ -9,9 +9,10 @@ What is pinned here:
   backwards (``Delta.inverse``), finds paths across rollbacks, verifies
   the result against the recorded content digest, and refuses corrupt or
   disconnected histories instead of fabricating data;
-* a priced checkpoint load (``load_cost``) makes ``materialise`` replay
-  from the provided database when that is cheaper, and
-  ``replay_distance`` reports the route ``materialise`` takes.
+* a priced checkpoint load (``load_cost``) makes ``materialise`` and
+  ``materialise_range`` replay from the provided database when that is
+  cheaper, and ``replay_distance`` reports the route ``materialise``
+  takes.
 """
 
 import pytest
@@ -248,8 +249,6 @@ class TestLoadCost:
         checkpoints = {databases[0].content_digest(): load_root}
         # The checkpoint is 1 delta away, the head 5: free loads take it.
         assert chain.replay_distance(head.content_digest(), target, checkpoints) == 1
-        assert chain.materialise(head, target, checkpoints) == databases[1]
-        assert len(loads) == 1
         # Priced at 5 deltas, a load costs 6 against the head's 5.
         assert (
             chain.replay_distance(
@@ -257,13 +256,25 @@ class TestLoadCost:
             )
             == 5
         )
-        assert (
-            chain.materialise(head, target, checkpoints, load_cost=5.0)
-            == databases[1]
-        )
-        assert len(loads) == 1
-        # At an equal cost the provided database wins the tie.
-        chain.materialise(head, target, checkpoints, load_cost=4.0)
-        assert len(loads) == 1
-        chain.materialise(head, target, checkpoints, load_cost=3.5)
-        assert len(loads) == 2
+
+        def single(load_cost=0.0):
+            return chain.materialise(head, target, checkpoints, load_cost=load_cost)
+
+        def ranged(load_cost=0.0):
+            return dict(
+                chain.materialise_range(
+                    head, [target], checkpoints, load_cost=load_cost
+                )
+            )[target]
+
+        for resolve in (single, ranged):
+            loads.clear()
+            assert resolve() == databases[1]
+            assert len(loads) == 1
+            assert resolve(load_cost=5.0) == databases[1]
+            assert len(loads) == 1
+            # At an equal cost the provided database wins the tie.
+            resolve(load_cost=4.0)
+            assert len(loads) == 1
+            resolve(load_cost=3.5)
+            assert len(loads) == 2

@@ -7,9 +7,15 @@ and randomly *compacted* delta records below a surviving checkpoint —
 :meth:`Lineage.materialise_range` must be
 
 * **bit-identical** to N independent :meth:`Lineage.materialise` calls
-  for the same targets (same digests, equal databases), and
-* **never more expensive**: the total number of delta applications in
-  the one shared walk is at most the sum the independent calls pay.
+  for the same targets (same digests, equal databases),
+* **accounted**: the deltas the walk reports per target (``replayed``)
+  add up to the delta applications it made, and
+* **never more expensive**: the priced cost of the one shared walk —
+  its delta applications plus ``load_cost`` per successful checkpoint
+  load — is at most the sum the independent calls pay, with loads free
+  (``load_cost`` 0.0, so the cost is the delta count) and priced.  Once
+  loads are priced, a shared walk may apply more raw deltas than the
+  independent calls to save a load.
 
 Targets are every digest still reachable in the surviving delta graph
 (compaction removes edges on purpose; unreachable ancestors fail loudly
@@ -176,6 +182,20 @@ def _counting_apply_delta(monkeypatch):
     return counter
 
 
+def _counting_loads(loaders, counter):
+    """Wrap checkpoint loaders to tally every load that returns a snapshot."""
+
+    def counted(loader):
+        def load():
+            snapshot = loader()
+            counter["loaded"] += snapshot is not None
+            return snapshot
+
+        return load
+
+    return {digest: counted(loader) for digest, loader in loaders.items()}
+
+
 @pytest.mark.parametrize("seed", range(_CHAINS))
 def test_range_materialisation_is_bit_identical_to_independent(seed, monkeypatch):
     chain, states, head, rng = _random_chain(seed)
@@ -191,22 +211,39 @@ def test_range_materialisation_is_bit_identical_to_independent(seed, monkeypatch
     assert targets, "every chain keeps at least its head reachable"
 
     counter = _counting_apply_delta(monkeypatch)
-    independent = {}
-    for digest in targets:
-        independent[digest] = chain.materialise(head, digest, checkpoints=loaders)
-    independent_cost = counter["applied"]
+    loaders = _counting_loads(loaders, counter)
+    for load_cost in (0.0, 2.5):
+        counter["applied"] = counter["loaded"] = 0
+        independent = {}
+        for digest in targets:
+            independent[digest] = chain.materialise(
+                head, digest, checkpoints=loaders, load_cost=load_cost
+            )
+        independent_cost = counter["applied"] + load_cost * counter["loaded"]
 
-    counter["applied"] = 0
-    shared = dict(chain.materialise_range(head, targets, checkpoints=loaders))
-    range_cost = counter["applied"]
+        counter["applied"] = counter["loaded"] = 0
+        replayed = {}
+        shared = dict(
+            chain.materialise_range(
+                head,
+                targets,
+                checkpoints=loaders,
+                load_cost=load_cost,
+                replayed=replayed,
+            )
+        )
+        range_cost = counter["applied"] + load_cost * counter["loaded"]
+        # The walk reports every delta it applied, each against one target.
+        assert sorted(replayed) == sorted(shared)
+        assert sum(replayed.values()) == counter["applied"]
 
-    assert sorted(shared) == sorted(independent)
-    for digest in targets:
-        assert shared[digest].content_digest() == digest
-        assert shared[digest] == independent[digest] == states[digest]
-    # The cost model: one shared walk never applies more deltas than the
-    # independent replays it replaces.
-    assert range_cost <= independent_cost
+        assert sorted(shared) == sorted(independent)
+        for digest in targets:
+            assert shared[digest].content_digest() == digest
+            assert shared[digest] == independent[digest] == states[digest]
+        # The cost model: one shared walk never costs more than the
+        # independent replays it replaces.
+        assert range_cost <= independent_cost
 
 
 @pytest.mark.parametrize("seed", range(0, _CHAINS, 7))

@@ -15,9 +15,12 @@ What is pinned here:
   feeds observed snapshot bytes back, demotes a checkpoint whose decayed
   read rate falls below ``demote_below`` — and never demotes the head;
   it prices a checkpoint load in replayed deltas from measured load and
-  step costs, so a read replays from the head when that is cheaper, load
-  time never counts as replay time, and a position read from memory
-  earns a checkpoint only when its replay costs more than a load;
+  step costs, so a read, single or in a range walk, replays from the
+  head when that is cheaper, load time never counts as replay time, and
+  a position read from memory earns a checkpoint only when its replay
+  costs more than a load; a read whose checkpoint fails to load reports
+  the distance it replayed from the head, and the failed load is no
+  sample of the load cost;
 * stores expose ``bytes`` in ``stats()`` (and through
   ``SolverPool.cache_stats``), age GC reads the injected clock, and
   byte-bounded GC evicts cold entries first while **pinned live-head
@@ -59,8 +62,12 @@ from repro.store import (
 _QUERY = "EXISTS x, y. R(x, 'a', y)"
 
 
-def _chain_pool(tmp_path, deltas=10, **kwargs):
-    """A persisted pool whose single database has ``deltas`` versions."""
+def _chain_pool(tmp_path, deltas=10, checkpoints=(), **kwargs):
+    """A persisted pool whose single database has ``deltas`` versions.
+
+    The head is checkpointed whenever the chain reaches a position in
+    ``checkpoints``.
+    """
     database = Database(
         [fact("R", 1, "a", "x"), fact("R", 1, "b", "x"), fact("R", 2, "a", "y")]
     )
@@ -74,6 +81,8 @@ def _chain_pool(tmp_path, deltas=10, **kwargs):
             "live", Delta(inserted=[fact("R", 10 + step, value, f"z{step}")])
         )
         digests.append(pool.snapshot_token("live")[0])
+        if step + 1 in checkpoints:
+            pool.checkpoint("live")
     return pool, keys, digests
 
 
@@ -324,6 +333,35 @@ class TestAdaptiveCheckpointPolicy:
         # Now a load is priced above the 6 deltas from 10 to the head.
         fresh.materialise("live", digests[10])
         assert (len(loads), len(replays)) == (1, 8)
+        # Range walks take the same price: 5 deltas from the head to 11
+        # beat loading the checkpoint 3 deltas away.
+        fresh.materialise_range("live", [digests[11]])
+        assert (len(loads), len(replays)) == (1, 13)
+
+    def test_a_lost_checkpoint_reports_the_replayed_distance(
+        self, tmp_path, monkeypatch
+    ):
+        pool, _, digests = _chain_pool(tmp_path, deltas=11, checkpoints=(2,))
+        for path in (tmp_path / "store").glob("*.snp"):
+            path.unlink()  # the checkpoint at 2 loses its snapshot entry
+        policy = AdaptiveCheckpointPolicy(
+            min_distance=100, clock=ManualClock(time.time())
+        )
+        fresh = _reopen(tmp_path, pool, checkpoint_policy=policy)
+        distances = []
+        after_read = policy.after_read
+
+        def observed(*args, **kwargs):
+            distances.append(args[4])
+            return after_read(*args, **kwargs)
+
+        monkeypatch.setattr(policy, "after_read", observed)
+        # The checkpoint 1 delta from 3 fails to load, so the read
+        # replays the 8 deltas from the head, and the failed attempt is
+        # no sample of what a load costs.
+        fresh.materialise("live", digests[3])
+        assert distances == [8]
+        assert policy.log.load_cost("live") == 0.0
 
     def test_cut_rule_weighs_a_measured_load(self):
         policy = AdaptiveCheckpointPolicy(min_distance=1, clock=ManualClock(0.0))
