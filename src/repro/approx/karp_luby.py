@@ -83,13 +83,12 @@ def karp_luby_sample_size(epsilon: float, delta: float, boxes: int) -> int:
     return max(1, math.ceil(bound))
 
 
-def _box_size(domain_sizes: Sequence[int], selector: Selector) -> int:
-    pinned = set(selector.pinned_indices())
-    size = 1
-    for index, domain_size in enumerate(domain_sizes):
-        if index not in pinned:
-            size *= domain_size
-    return size
+def _box_size(domain_sizes: Sequence[int], total: int, selector: Selector) -> int:
+    """``|box|``: the product space divided by the pinned domains' sizes.
+
+    Exact because a box only pins a domain with at least one element.
+    """
+    return total // math.prod(domain_sizes[index] for index, _ in selector.pins)
 
 
 def karp_luby_plan(
@@ -99,13 +98,16 @@ def karp_luby_plan(
     delta: float,
     rng: Optional[Union[random.Random, int]] = None,
     max_samples: Optional[int] = None,
+    total: Optional[int] = None,
 ) -> SamplingPlan:
     """Prepare the Karp–Luby estimator up to the sampling loop.
 
     The plan draws from ``rng`` in exactly the order
     :func:`estimate_union_karp_luby` would, so a full-budget run is
     bit-identical to the fixed path with the same seed.  A union with no
-    boxes yields a degenerate plan with a zero sample budget.
+    boxes yields a degenerate plan with a zero sample budget.  ``total``
+    is ``Π domain_sizes`` when the caller already has it (a block
+    decomposition keeps it); otherwise it is computed once here.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
@@ -129,7 +131,9 @@ def karp_luby_plan(
             finalise=finalise_empty,
         )
 
-    box_sizes = [_box_size(sizes, selector) for selector in boxes]
+    if total is None:
+        total = math.prod(sizes)
+    box_sizes = [_box_size(sizes, total, selector) for selector in boxes]
     total_mass = sum(box_sizes)
     requested = karp_luby_sample_size(epsilon, delta, len(boxes))
     samples = requested
@@ -190,16 +194,23 @@ def estimate_union_karp_luby(
     delta: float,
     rng: Optional[Union[random.Random, int]] = None,
     max_samples: Optional[int] = None,
+    total: Optional[int] = None,
 ) -> KarpLubyResult:
     """Estimate ``|⋃ boxes|`` with the Karp–Luby estimator.
 
     ``domain_sizes`` and ``selectors`` describe the boxes exactly as in
     :mod:`repro.lams.union_of_boxes`; the answer approximates the same
     quantity that :func:`~repro.lams.union_of_boxes.count_union_of_boxes`
-    computes exactly.
+    computes exactly.  ``total`` is as in :func:`karp_luby_plan`.
     """
     plan = karp_luby_plan(
-        domain_sizes, selectors, epsilon, delta, rng=rng, max_samples=max_samples
+        domain_sizes,
+        selectors,
+        epsilon,
+        delta,
+        rng=rng,
+        max_samples=max_samples,
+        total=total,
     )
     successes = 0
     for _ in range(plan.samples):

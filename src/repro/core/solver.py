@@ -220,6 +220,7 @@ def count_query(
         prepared = _karp_luby_certificates(
             database, keys, query, answer, decomposition, prepared
         )
+        total = decomposition.total_repairs()
         result = estimate_union_karp_luby(
             decomposition.block_sizes(),
             prepared.selectors,
@@ -227,8 +228,8 @@ def count_query(
             delta,
             rng=rng,
             max_samples=max_samples,
+            total=total,
         )
-        total = decomposition.total_repairs()
     return CQAResult(
         satisfying=result.estimate,
         total=total,
@@ -296,6 +297,7 @@ def build_sampling_plan(
         delta,
         rng=rng,
         max_samples=max_samples,
+        total=decomposition.total_repairs(),
     )
     return plan, decomposition
 

@@ -12,6 +12,7 @@ counting, the guess–check–expand transducer and the compactor.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
@@ -117,6 +118,17 @@ class BlockDecomposition:
         for index, block in enumerate(self._blocks):
             for item in block:
                 self._index_by_fact[item] = index
+        # The derived quantities below are pure functions of the frozen
+        # blocks, so each is computed on first use and kept.
+        self._sizes: Optional[Tuple[int, ...]] = None
+        self._total: Optional[int] = None
+        self._max_size: Optional[int] = None
+
+    def _block_sizes(self) -> Tuple[int, ...]:
+        """The sizes, measured on first use (shared by the accessors below)."""
+        if self._sizes is None:
+            self._sizes = tuple(len(block) for block in self._blocks)
+        return self._sizes
 
     @classmethod
     def _from_blocks(
@@ -256,8 +268,8 @@ class BlockDecomposition:
     # derived quantities
     # ------------------------------------------------------------------ #
     def block_sizes(self) -> Tuple[int, ...]:
-        """Sizes ``|B1|, ..., |Bn|`` in block order."""
-        return tuple(len(block) for block in self._blocks)
+        """Sizes ``|B1|, ..., |Bn|`` in block order (computed once)."""
+        return self._block_sizes()
 
     def conflicting_blocks(self) -> Tuple[Block, ...]:
         """Blocks with at least two facts (actual conflicts)."""
@@ -265,19 +277,18 @@ class BlockDecomposition:
 
     def max_block_size(self) -> int:
         """``max_i |B_i|`` — the quantity ``m`` in the FPRAS sample bound."""
-        if not self._blocks:
-            return 0
-        return max(len(block) for block in self._blocks)
+        if self._max_size is None:
+            self._max_size = max(self._block_sizes(), default=0)
+        return self._max_size
 
     def total_repairs(self) -> int:
-        """``|rep(D, Σ)| = Π_i |B_i|`` (1 for the empty database).
+        """``|rep(D, Σ)| = Π_i |B_i|`` (1 for the empty database; computed once).
 
         This is the "easy" counting problem the paper notes is in FP.
         """
-        total = 1
-        for block in self._blocks:
-            total *= len(block)
-        return total
+        if self._total is None:
+            self._total = math.prod(self._block_sizes())
+        return self._total
 
     def is_consistent(self) -> bool:
         """True iff the database has no conflicting block."""

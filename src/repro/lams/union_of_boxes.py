@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .selectors import Selector
 
@@ -132,28 +132,33 @@ def count_union_inclusion_exclusion(
 
 
 def count_union_by_enumeration(
-    domain_sizes: Sequence[int], selectors: Sequence[Selector]
+    domain_sizes: Sequence[int],
+    selectors: Sequence[Selector],
+    total: Optional[int] = None,
 ) -> int:
     """|⋃ boxes| by enumerating assignments of the support coordinates.
 
     The support is the set of coordinates pinned by at least one box.
     Coordinates outside the support are free in every box, so they factor
-    out as a product.  For each assignment of the support coordinates we
-    check whether some box accepts it.
+    out as a product, ``total // Π_{support} |S_i|``.  For each assignment
+    of the support coordinates we check whether some box accepts it.
+
+    ``total`` is ``Π_i |S_i|`` when the caller already has it (a block
+    decomposition keeps it); otherwise it is computed here.
     """
     sizes = tuple(domain_sizes)
     boxes = _deduplicate(selectors)
     if not boxes:
         return 0
+    if total is None:
+        total = _product(sizes)
     if any(selector.length == 0 for selector in boxes):
         # The empty selector denotes the full space.
-        return _product(sizes)
+        return total
 
     support = sorted({coordinate for selector in boxes for coordinate, _ in selector.pins})
     support_index = {coordinate: position for position, coordinate in enumerate(support)}
-    outside_factor = _product(
-        size for coordinate, size in enumerate(sizes) if coordinate not in support_index
-    )
+    outside_factor = total // _product(sizes[coordinate] for coordinate in support)
 
     compiled = [
         tuple((support_index[coordinate], element) for coordinate, element in selector.pins)
@@ -246,33 +251,37 @@ def component_union_tasks(
 
         union = Π|S_i| − outside_factor · Π_g (task_g.space − union_g)
     """
-    return _component_tasks_from_deduped(tuple(domain_sizes), _deduplicate(selectors))
+    sizes = tuple(domain_sizes)
+    return _component_tasks_from_deduped(sizes, _deduplicate(selectors), _product(sizes))
 
 
 def _component_tasks_from_deduped(
-    sizes: Tuple[int, ...], boxes: List[Selector]
+    sizes: Tuple[int, ...], boxes: List[Selector], total: int
 ) -> Tuple[Tuple[ComponentTask, ...], int]:
-    """The task split proper, for callers that already deduplicated."""
+    """The task split proper, for callers that already deduplicated.
+
+    ``total`` is ``Π_i |S_i|``.  The outside factor is ``total`` divided by
+    the product of the pinned sizes (the task spaces), which costs
+    O(#pinned coordinates) instead of a pass over every domain; the
+    division is exact because a box only pins a domain with at least one
+    element.
+    """
     tasks: List[ComponentTask] = []
-    support_union: Set[int] = set()
+    pinned_space = 1
     for component in connected_components(boxes):
         support = sorted(
             {coordinate for selector in component for coordinate, _ in selector.pins}
         )
-        support_union.update(support)
         remap = {coordinate: position for position, coordinate in enumerate(support)}
         restricted_sizes = tuple(sizes[coordinate] for coordinate in support)
         restricted = tuple(
             Selector({remap[coordinate]: element for coordinate, element in selector.pins})
             for selector in component
         )
-        tasks.append(
-            ComponentTask(restricted_sizes, restricted, _product(restricted_sizes))
-        )
-    outside_factor = _product(
-        size for coordinate, size in enumerate(sizes) if coordinate not in support_union
-    )
-    return tuple(tasks), outside_factor
+        space = _product(restricted_sizes)
+        pinned_space *= space
+        tasks.append(ComponentTask(restricted_sizes, restricted, space))
+    return tuple(tasks), total // pinned_space
 
 
 def count_component_union(
@@ -307,6 +316,7 @@ def count_component_union(
 def count_union_decomposed(
     domain_sizes: Sequence[int],
     selectors: Sequence[Selector],
+    total: Optional[int] = None,
 ) -> int:
     """|⋃ boxes| via complement counting over connected components.
 
@@ -321,40 +331,46 @@ def count_union_decomposed(
     ``Π_{i∈S_g}|S_i|`` minus the union counted by
     :func:`count_component_union`.
 
-    The answer returned is ``Π_i |S_i| − #avoiding``.
+    The answer returned is ``Π_i |S_i| − #avoiding``.  ``total`` is
+    ``Π_i |S_i|`` when the caller already has it (a block decomposition
+    keeps it), which makes the count independent of the number of domains
+    the boxes do not pin; otherwise it is computed here.
     """
     sizes = tuple(domain_sizes)
     boxes = _deduplicate(selectors)
     if not boxes:
         return 0
+    if total is None:
+        total = _product(sizes)
     if any(selector.length == 0 for selector in boxes):
-        return _product(sizes)
+        return total
 
-    tasks, outside_factor = _component_tasks_from_deduped(sizes, boxes)
+    tasks, outside_factor = _component_tasks_from_deduped(sizes, boxes, total)
     avoiding = 1
     for task in tasks:
         avoiding *= task.space - count_component_union(task)
-
-    total_space = _product(sizes)
-    return total_space - avoiding * outside_factor
+    return total - avoiding * outside_factor
 
 
 def count_union_of_boxes(
     domain_sizes: Sequence[int],
     selectors: Sequence[Selector],
     method: str = "decomposed",
+    total: Optional[int] = None,
 ) -> int:
     """Front door for union-of-boxes counting.
 
     ``method`` is one of ``"decomposed"`` (default), ``"inclusion-exclusion"``
-    or ``"enumeration"``.
+    or ``"enumeration"``.  ``total`` optionally passes ``Π domain_sizes``
+    from a caller that already has it; the inclusion–exclusion strategy
+    does not use it.
     """
     if method == "decomposed":
-        return count_union_decomposed(domain_sizes, selectors)
+        return count_union_decomposed(domain_sizes, selectors, total)
     if method == "inclusion-exclusion":
         return count_union_inclusion_exclusion(domain_sizes, selectors)
     if method == "enumeration":
-        return count_union_by_enumeration(domain_sizes, selectors)
+        return count_union_by_enumeration(domain_sizes, selectors, total)
     raise ValueError(
         f"unknown method {method!r}; expected 'decomposed', "
         f"'inclusion-exclusion' or 'enumeration'"

@@ -195,13 +195,15 @@ def count_from_selectors(
     block_sizes: Sequence[int],
     selectors: Sequence[Selector],
     box_method: str = "decomposed",
+    total: Optional[int] = None,
 ) -> int:
     """The pure counting kernel: |⋃ boxes| over the block decomposition.
 
     Takes only primitive, picklable data (sizes and selectors), so worker
     processes can run it without a database, a solver or a query in scope.
+    ``total`` is ``Π block_sizes`` when the caller already has it.
     """
-    return count_union_of_boxes(block_sizes, selectors, method=box_method)
+    return count_union_of_boxes(block_sizes, selectors, method=box_method, total=total)
 
 
 def count_repairs_satisfying_certificates(
@@ -212,13 +214,15 @@ def count_repairs_satisfying_certificates(
     decomposition: Optional[BlockDecomposition] = None,
     box_method: str = "decomposed",
     prepared: Optional[PreparedCertificates] = None,
+    total: Optional[int] = None,
 ) -> Tuple[int, int]:
     """Exact #CQA via certificates and union-of-boxes counting.
 
     Returns the pair ``(satisfying, number_of_certificates)``.  Only valid
     for existential positive queries.  ``prepared`` short-circuits the
     certificate/selector computation with a cached
-    :class:`PreparedCertificates`.
+    :class:`PreparedCertificates`; ``total`` passes the decomposition's
+    ``|rep(D, Σ)|`` from a caller that already read it.
     """
     if decomposition is None:
         decomposition = BlockDecomposition(database, keys)
@@ -229,7 +233,7 @@ def count_repairs_satisfying_certificates(
     if prepared.certificate_count == 0:
         return 0, 0
     satisfying = count_from_selectors(
-        decomposition.block_sizes(), prepared.selectors, box_method
+        decomposition.block_sizes(), prepared.selectors, box_method, total
     )
     return satisfying, prepared.certificate_count
 
@@ -298,6 +302,7 @@ def count_repairs_satisfying(
         decomposition=decomposition,
         box_method=box_method,
         prepared=prepared,
+        total=total,
     )
     label = "certificate" if method == "auto" else method
     return CountReport(satisfying, total, label, certificate_count, len(decomposition))

@@ -11,7 +11,7 @@ boundaries: the pool holds *no* engine state of its own.
 
 import pytest
 
-from repro.db import Database, Delta, PrimaryKeySet, fact
+from repro.db import Block, Database, Delta, PrimaryKeySet, fact
 from repro.engine import (
     CacheCoordinator,
     CountJob,
@@ -21,6 +21,7 @@ from repro.engine import (
     SolverPool,
 )
 from repro.errors import EngineError, FrozenDatabaseError
+from repro.lams import union_of_boxes
 
 
 def _instance():
@@ -87,6 +88,52 @@ class TestLayeredExecution:
         pool = SolverPool()
         pool.register("live", Database(database.facts()), keys)
         assert pool.run_job(job).count_fields() == first.count_fields()
+
+    def test_a_warm_job_does_no_work_per_block(self, monkeypatch):
+        """A warm exact job costs O(#certificates), not O(#blocks).
+
+        1,000 two-fact blocks, three of which also hold a 'hot' fact the
+        query asks for: the decomposition keeps its sizes and total, so
+        the second run neither re-measures a block nor multiplies the
+        sizes of blocks no certificate pins.
+        """
+        blocks = 1000
+        hot = (1, 2, 3)
+        facts = [fact("R", i, tag, "x") for i in range(blocks) for tag in ("a", "b")]
+        facts += [fact("R", i, "hot", "x") for i in hot]
+        registry, caches, lineage, executor = _stack()
+        token, _ = registry.register(
+            "wide", Database(facts), PrimaryKeySet.from_dict({"R": [1]})
+        )
+        lineage.record_head("wide", token, kind="register")
+        job = CountJob(database="wide", query="EXISTS x, y. R(x, 'hot', y)")
+        first = executor.run_job(job)
+
+        lengths = []
+        real_len = Block.__len__
+
+        def counting_len(block):
+            lengths.append(block.key_value)
+            return real_len(block)
+
+        factors = []
+        real_product = union_of_boxes._product
+
+        def counting_product(values):
+            values = list(values)
+            factors.extend(values)
+            return real_product(values)
+
+        monkeypatch.setattr(Block, "__len__", counting_len)
+        monkeypatch.setattr(union_of_boxes, "_product", counting_product)
+        second = executor.run_job(job)
+
+        assert second.count_fields()[1:] == first.count_fields()[1:]
+        cold = 2 ** (blocks - len(hot))
+        assert second.total == cold * 3 ** len(hot)
+        assert second.satisfying == second.total - cold * 2 ** len(hot)
+        assert lengths == []
+        assert len(factors) <= 2 * len(hot)
 
     def test_apply_delta_records_history_through_the_lineage_layer(self):
         database, keys = _instance()

@@ -1,6 +1,7 @@
 """Unit and property tests for selectors, boxes and union-of-boxes counting."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +74,13 @@ class TestUnionOfBoxes:
     def test_empty_selector_covers_everything(self):
         assert count_union_of_boxes((2, 3), [Selector({})]) == 6
 
+    def test_an_empty_domain_no_box_pins_empties_the_union(self):
+        sizes = (2, 0, 3)
+        boxes = [Selector({0: 1}), Selector({0: 0, 2: 2})]
+        for method in ("decomposed", "inclusion-exclusion", "enumeration"):
+            assert count_union_of_boxes(sizes, boxes, method=method) == 0
+            assert count_union_of_boxes(sizes, boxes, method=method, total=0) == 0
+
     def test_disjoint_and_overlapping_boxes(self):
         sizes = (2, 2, 2)
         disjoint = [Selector({0: 0}), Selector({0: 1, 1: 0})]
@@ -140,6 +148,9 @@ def _union_instance(draw):
 def test_union_counting_strategies_agree_with_bruteforce(instance):
     sizes, selectors = instance
     expected = _brute_force_union(sizes, selectors)
+    total = math.prod(sizes)  # as a caller holding a decomposition passes it
     assert count_union_inclusion_exclusion(sizes, selectors) == expected
     assert count_union_by_enumeration(sizes, selectors) == expected
+    assert count_union_by_enumeration(sizes, selectors, total) == expected
     assert count_union_decomposed(sizes, selectors) == expected
+    assert count_union_decomposed(sizes, selectors, total) == expected
