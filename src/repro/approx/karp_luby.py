@@ -98,16 +98,13 @@ def karp_luby_plan(
     delta: float,
     rng: Optional[Union[random.Random, int]] = None,
     max_samples: Optional[int] = None,
-    total: Optional[int] = None,
 ) -> SamplingPlan:
     """Prepare the Karp–Luby estimator up to the sampling loop.
 
     The plan draws from ``rng`` in exactly the order
     :func:`estimate_union_karp_luby` would, so a full-budget run is
     bit-identical to the fixed path with the same seed.  A union with no
-    boxes yields a degenerate plan with a zero sample budget.  ``total``
-    is ``Π domain_sizes`` when the caller already has it (a block
-    decomposition keeps it); otherwise it is computed once here.
+    boxes yields a degenerate plan with a zero sample budget.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
@@ -131,8 +128,7 @@ def karp_luby_plan(
             finalise=finalise_empty,
         )
 
-    if total is None:
-        total = math.prod(sizes)
+    total = math.prod(sizes)
     box_sizes = [_box_size(sizes, total, selector) for selector in boxes]
     total_mass = sum(box_sizes)
     requested = karp_luby_sample_size(epsilon, delta, len(boxes))
@@ -194,23 +190,16 @@ def estimate_union_karp_luby(
     delta: float,
     rng: Optional[Union[random.Random, int]] = None,
     max_samples: Optional[int] = None,
-    total: Optional[int] = None,
 ) -> KarpLubyResult:
     """Estimate ``|⋃ boxes|`` with the Karp–Luby estimator.
 
     ``domain_sizes`` and ``selectors`` describe the boxes exactly as in
     :mod:`repro.lams.union_of_boxes`; the answer approximates the same
     quantity that :func:`~repro.lams.union_of_boxes.count_union_of_boxes`
-    computes exactly.  ``total`` is as in :func:`karp_luby_plan`.
+    computes exactly.
     """
     plan = karp_luby_plan(
-        domain_sizes,
-        selectors,
-        epsilon,
-        delta,
-        rng=rng,
-        max_samples=max_samples,
-        total=total,
+        domain_sizes, selectors, epsilon, delta, rng=rng, max_samples=max_samples
     )
     successes = 0
     for _ in range(plan.samples):

@@ -220,7 +220,6 @@ def count_query(
         prepared = _karp_luby_certificates(
             database, keys, query, answer, decomposition, prepared
         )
-        total = decomposition.total_repairs()
         result = estimate_union_karp_luby(
             decomposition.block_sizes(),
             prepared.selectors,
@@ -228,8 +227,8 @@ def count_query(
             delta,
             rng=rng,
             max_samples=max_samples,
-            total=total,
         )
+        total = decomposition.total_repairs()
     return CQAResult(
         satisfying=result.estimate,
         total=total,
@@ -297,7 +296,6 @@ def build_sampling_plan(
         delta,
         rng=rng,
         max_samples=max_samples,
-        total=decomposition.total_repairs(),
     )
     return plan, decomposition
 

@@ -118,17 +118,11 @@ class BlockDecomposition:
         for index, block in enumerate(self._blocks):
             for item in block:
                 self._index_by_fact[item] = index
-        # The derived quantities below are pure functions of the frozen
-        # blocks, so each is computed on first use and kept.
-        self._sizes: Optional[Tuple[int, ...]] = None
-        self._total: Optional[int] = None
-        self._max_size: Optional[int] = None
-
-    def _block_sizes(self) -> Tuple[int, ...]:
-        """The sizes, measured on first use (shared by the accessors below)."""
-        if self._sizes is None:
-            self._sizes = tuple(len(block) for block in self._blocks)
-        return self._sizes
+        # Pure functions of the frozen blocks, kept so that a warm job reads
+        # them in O(1); this costs O(#blocks) on top of the pass above.
+        self._sizes: Tuple[int, ...] = tuple([len(block.facts) for block in blocks])
+        self._total: int = math.prod(self._sizes)
+        self._max_size: int = max(self._sizes, default=0)
 
     @classmethod
     def _from_blocks(
@@ -268,8 +262,8 @@ class BlockDecomposition:
     # derived quantities
     # ------------------------------------------------------------------ #
     def block_sizes(self) -> Tuple[int, ...]:
-        """Sizes ``|B1|, ..., |Bn|`` in block order (computed once)."""
-        return self._block_sizes()
+        """Sizes ``|B1|, ..., |Bn|`` in block order."""
+        return self._sizes
 
     def conflicting_blocks(self) -> Tuple[Block, ...]:
         """Blocks with at least two facts (actual conflicts)."""
@@ -277,17 +271,13 @@ class BlockDecomposition:
 
     def max_block_size(self) -> int:
         """``max_i |B_i|`` — the quantity ``m`` in the FPRAS sample bound."""
-        if self._max_size is None:
-            self._max_size = max(self._block_sizes(), default=0)
         return self._max_size
 
     def total_repairs(self) -> int:
-        """``|rep(D, Σ)| = Π_i |B_i|`` (1 for the empty database; computed once).
+        """``|rep(D, Σ)| = Π_i |B_i|`` (1 for the empty database).
 
         This is the "easy" counting problem the paper notes is in FP.
         """
-        if self._total is None:
-            self._total = math.prod(self._block_sizes())
         return self._total
 
     def is_consistent(self) -> bool:

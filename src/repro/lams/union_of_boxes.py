@@ -132,26 +132,21 @@ def count_union_inclusion_exclusion(
 
 
 def count_union_by_enumeration(
-    domain_sizes: Sequence[int],
-    selectors: Sequence[Selector],
-    total: Optional[int] = None,
+    domain_sizes: Sequence[int], selectors: Sequence[Selector]
 ) -> int:
     """|⋃ boxes| by enumerating assignments of the support coordinates.
 
     The support is the set of coordinates pinned by at least one box.
     Coordinates outside the support are free in every box, so they factor
-    out as a product, ``total // Π_{support} |S_i|``.  For each assignment
-    of the support coordinates we check whether some box accepts it.
-
-    ``total`` is ``Π_i |S_i|`` when the caller already has it (a block
-    decomposition keeps it); otherwise it is computed here.
+    out as a product, ``Π_i |S_i| // Π_{support} |S_i|``.  For each
+    assignment of the support coordinates we check whether some box
+    accepts it.
     """
     sizes = tuple(domain_sizes)
     boxes = _deduplicate(selectors)
     if not boxes:
         return 0
-    if total is None:
-        total = _product(sizes)
+    total = _product(sizes)
     if any(selector.length == 0 for selector in boxes):
         # The empty selector denotes the full space.
         return total
@@ -362,15 +357,15 @@ def count_union_of_boxes(
 
     ``method`` is one of ``"decomposed"`` (default), ``"inclusion-exclusion"``
     or ``"enumeration"``.  ``total`` optionally passes ``Π domain_sizes``
-    from a caller that already has it; the inclusion–exclusion strategy
-    does not use it.
+    from a caller that already has it; only the decomposed strategy uses
+    it.
     """
     if method == "decomposed":
         return count_union_decomposed(domain_sizes, selectors, total)
     if method == "inclusion-exclusion":
         return count_union_inclusion_exclusion(domain_sizes, selectors)
     if method == "enumeration":
-        return count_union_by_enumeration(domain_sizes, selectors, total)
+        return count_union_by_enumeration(domain_sizes, selectors)
     raise ValueError(
         f"unknown method {method!r}; expected 'decomposed', "
         f"'inclusion-exclusion' or 'enumeration'"

@@ -214,15 +214,13 @@ def count_repairs_satisfying_certificates(
     decomposition: Optional[BlockDecomposition] = None,
     box_method: str = "decomposed",
     prepared: Optional[PreparedCertificates] = None,
-    total: Optional[int] = None,
 ) -> Tuple[int, int]:
     """Exact #CQA via certificates and union-of-boxes counting.
 
     Returns the pair ``(satisfying, number_of_certificates)``.  Only valid
     for existential positive queries.  ``prepared`` short-circuits the
     certificate/selector computation with a cached
-    :class:`PreparedCertificates`; ``total`` passes the decomposition's
-    ``|rep(D, Σ)|`` from a caller that already read it.
+    :class:`PreparedCertificates`.
     """
     if decomposition is None:
         decomposition = BlockDecomposition(database, keys)
@@ -233,7 +231,10 @@ def count_repairs_satisfying_certificates(
     if prepared.certificate_count == 0:
         return 0, 0
     satisfying = count_from_selectors(
-        decomposition.block_sizes(), prepared.selectors, box_method, total
+        decomposition.block_sizes(),
+        prepared.selectors,
+        box_method,
+        decomposition.total_repairs(),
     )
     return satisfying, prepared.certificate_count
 
@@ -302,7 +303,6 @@ def count_repairs_satisfying(
         decomposition=decomposition,
         box_method=box_method,
         prepared=prepared,
-        total=total,
     )
     label = "certificate" if method == "auto" else method
     return CountReport(satisfying, total, label, certificate_count, len(decomposition))
