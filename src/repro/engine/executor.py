@@ -79,6 +79,19 @@ __all__ = ["JobExecutor", "RangeFailure"]
 #: estimator families).
 ExactKey = Tuple[SnapshotToken, str, Tuple[str, ...], Tuple[Constant, ...]]
 
+#: One shared tuple per sequence of cache-layer labels a result has
+#: carried, so kept results share their provenance tuples.  The labels
+#: come from the fixed set of cache layers, so the table stays small, and
+#: each value equals its key, so sharing it across executors changes no
+#: result.
+_LABEL_TUPLES: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+
+def _labels(names: List[str]) -> Tuple[str, ...]:
+    """The shared tuple holding ``names`` (see :data:`_LABEL_TUPLES`)."""
+    labels = tuple(names)
+    return _LABEL_TUPLES.setdefault(labels, labels)
+
 
 @dataclass(frozen=True)
 class RangeFailure:
@@ -170,8 +183,8 @@ class JobExecutor:
                     method=job.method,
                     is_estimate=False,
                     elapsed=time.perf_counter() - started,
-                    cache_hits=tuple(hits),
-                    cache_misses=tuple(misses),
+                    cache_hits=_labels(hits),
+                    cache_misses=_labels(misses),
                     worker=worker_label,
                     interval_low=float(satisfying),
                     interval_high=float(satisfying),
@@ -206,8 +219,8 @@ class JobExecutor:
                 method=result.method,
                 is_estimate=result.is_estimate,
                 elapsed=time.perf_counter() - started,
-                cache_hits=tuple(hits),
-                cache_misses=tuple(misses),
+                cache_hits=_labels(hits),
+                cache_misses=_labels(misses),
                 worker=worker_label,
                 interval_low=final.lo,
                 interval_high=final.hi,
@@ -236,8 +249,8 @@ class JobExecutor:
             method=result.method,
             is_estimate=result.is_estimate,
             elapsed=time.perf_counter() - started,
-            cache_hits=tuple(hits),
-            cache_misses=tuple(misses),
+            cache_hits=_labels(hits),
+            cache_misses=_labels(misses),
             worker=worker_label,
         )
 

@@ -473,7 +473,7 @@ class UpdateReport:
         return payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobResult:
     """The outcome of one job, with execution provenance.
 
@@ -481,6 +481,9 @@ class JobResult:
     bit-identical between sequential and pooled runs); ``elapsed``,
     ``cache_hits``/``cache_misses`` and ``worker`` are provenance and may
     legitimately differ between runs.
+
+    A result is slotted (no per-instance ``__dict__``) because callers
+    such as a long-running stream consumer keep every result they get.
 
     Anytime jobs additionally carry their confidence interval
     (``interval_low``/``interval_high``), the number of samples actually

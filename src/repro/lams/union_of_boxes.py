@@ -19,7 +19,10 @@ module provides exact algorithms that are fast on the instances that occur
 in practice:
 
 * :func:`count_union_inclusion_exclusion` — inclusion–exclusion over the
-  boxes with consistency pruning; exponential in the number of boxes.
+  boxes with consistency pruning.  Each intersection costs the pins of the
+  box it adds, since its size is its parent's divided by the newly pinned
+  sizes; the number of intersections, and so the total cost, is still
+  exponential in the number of boxes.
 * :func:`count_union_by_enumeration` — enumerate assignments of the pinned
   ("support") coordinates only; exponential in the support size but
   independent of the number of boxes.
@@ -49,6 +52,13 @@ __all__ = [
     "count_union_decomposed",
     "connected_components",
 ]
+
+#: Support-space size above which a component is never enumerated unless it
+#: has too many boxes for inclusion–exclusion.
+ENUMERATION_LIMIT = 2_000_000
+
+#: The most boxes a component counted by inclusion–exclusion may have.
+INCLUSION_EXCLUSION_LIMIT = 22
 
 
 def _product(values: Iterable[int]) -> int:
@@ -95,39 +105,44 @@ def count_union_inclusion_exclusion(
     merge of the selectors — empty when any two of them disagree on a pinned
     coordinate.  Intersections are built incrementally (depth-first over the
     box list) so inconsistent branches are pruned early.
+
+    The recursion carries each intersection's size down: the root is the
+    whole space ``Π sizes``, and a child's size is its parent's divided by
+    the sizes of the coordinates the new box pins.  The division is exact
+    because a box only pins a domain with at least one element.  So one
+    intersection costs O(pins of the new box), not O(#domains); the number
+    of intersections is still exponential in the number of boxes.
     """
     sizes = tuple(domain_sizes)
     boxes = _deduplicate(selectors)
 
     total = 0
 
-    def recurse(start: int, merged: Dict[int, int], depth: int) -> None:
+    def recurse(start: int, merged: Dict[int, int], depth: int, space: int) -> None:
         nonlocal total
+        sign = 1 if depth % 2 == 0 else -1
         for index in range(start, len(boxes)):
             candidate = boxes[index]
             conflict = False
             added: List[int] = []
+            pinned = 1
             for coordinate, element in candidate.pins:
                 existing = merged.get(coordinate)
                 if existing is None:
                     merged[coordinate] = element
                     added.append(coordinate)
+                    pinned *= sizes[coordinate]
                 elif existing != element:
                     conflict = True
                     break
             if not conflict:
-                intersection_size = _product(
-                    size
-                    for coordinate, size in enumerate(sizes)
-                    if coordinate not in merged
-                )
-                sign = 1 if depth % 2 == 0 else -1
+                intersection_size = space // pinned
                 total += sign * intersection_size
-                recurse(index + 1, merged, depth + 1)
+                recurse(index + 1, merged, depth + 1, intersection_size)
             for coordinate in added:
                 del merged[coordinate]
 
-    recurse(0, {}, 0)
+    recurse(0, {}, 0, _product(sizes))
     return total
 
 
@@ -279,32 +294,23 @@ def _component_tasks_from_deduped(
     return tuple(tasks), total // pinned_space
 
 
-def count_component_union(
-    task: ComponentTask,
-    enumeration_limit: int = 2_000_000,
-    inclusion_exclusion_limit: int = 22,
-) -> int:
+def count_component_union(task: ComponentTask) -> int:
     """Union size of one component task (restricted to its support).
 
-    Chooses the cheaper of the two base strategies for the component
-    (bounded by ``enumeration_limit`` assignments or
-    ``inclusion_exclusion_limit`` boxes; if both bounds are exceeded the
-    enumeration strategy is used regardless, since it is the one with
-    predictable memory behaviour).  A module-level function so process-pool
-    workers can execute tasks shipped from another process.
+    Inclusion–exclusion counts a component of at most
+    :data:`INCLUSION_EXCLUSION_LIMIT` boxes when its support space exceeds
+    :data:`ENUMERATION_LIMIT` assignments or it has at most 12 boxes;
+    enumeration counts every other component.  A component past both
+    limits is still enumerated, exactly but slowly: the caller opted into
+    an exact count, and enumeration is the strategy with predictable memory
+    behaviour.  A module-level function so process-pool workers can execute
+    tasks shipped from another process.
     """
     restricted = list(task.selectors)
-    support_space = task.space
-    if len(restricted) <= inclusion_exclusion_limit and (
-        support_space > enumeration_limit or len(restricted) <= 12
+    if len(restricted) <= INCLUSION_EXCLUSION_LIMIT and (
+        task.space > ENUMERATION_LIMIT or len(restricted) <= 12
     ):
         return count_union_inclusion_exclusion(task.sizes, restricted)
-    if support_space <= enumeration_limit:
-        return count_union_by_enumeration(task.sizes, restricted)
-    if len(restricted) <= inclusion_exclusion_limit:
-        return count_union_inclusion_exclusion(task.sizes, restricted)
-    # Both limits exceeded: fall back to enumeration (exact but slow); the
-    # caller opted into an exact count, so we do the work rather than guess.
     return count_union_by_enumeration(task.sizes, restricted)
 
 

@@ -9,6 +9,8 @@ this PR keeps passing unmodified) and pin the facade's delegation
 boundaries: the pool holds *no* engine state of its own.
 """
 
+import pickle
+
 import pytest
 
 from repro.db import Block, Database, Delta, PrimaryKeySet, fact
@@ -89,13 +91,16 @@ class TestLayeredExecution:
         pool.register("live", Database(database.facts()), keys)
         assert pool.run_job(job).count_fields() == first.count_fields()
 
-    def test_a_warm_job_does_no_work_per_block(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["certificate", "inclusion-exclusion"])
+    def test_a_warm_job_does_no_work_per_block(self, monkeypatch, method):
         """A warm exact job costs O(#certificates), not O(#blocks).
 
         1,000 two-fact blocks, three of which also hold a 'hot' fact the
         query asks for: the decomposition keeps its sizes and total, so
         the second run neither re-measures a block nor multiplies the
-        sizes of blocks no certificate pins.
+        sizes of blocks no certificate pins.  Forced inclusion–exclusion
+        over every block multiplies each block size once, for the whole
+        space, and carries that product down its intersections.
         """
         blocks = 1000
         hot = (1, 2, 3)
@@ -106,7 +111,9 @@ class TestLayeredExecution:
             "wide", Database(facts), PrimaryKeySet.from_dict({"R": [1]})
         )
         lineage.record_head("wide", token, kind="register")
-        job = CountJob(database="wide", query="EXISTS x, y. R(x, 'hot', y)")
+        job = CountJob(
+            database="wide", query="EXISTS x, y. R(x, 'hot', y)", method=method
+        )
         first = executor.run_job(job)
 
         lengths = []
@@ -133,7 +140,26 @@ class TestLayeredExecution:
         assert second.total == cold * 3 ** len(hot)
         assert second.satisfying == second.total - cold * 2 ** len(hot)
         assert lengths == []
-        assert len(factors) <= 2 * len(hot)
+        if method == "certificate":
+            assert len(factors) <= 2 * len(hot)
+        else:
+            assert len(factors) <= blocks
+
+    def test_kept_results_are_slotted_and_share_their_provenance(self):
+        """A caller that keeps every result pays for no per-result dict
+        and no per-result label tuples; results still pickle."""
+        database, keys = _instance()
+        registry, caches, lineage, executor = _stack()
+        token, _ = registry.register("live", database, keys)
+        lineage.record_head("live", token, kind="register")
+        job = CountJob(database="live", query="EXISTS x, y. R(x, 'a', y)")
+        executor.run_job(job)
+        first, second = executor.run_job(job), executor.run_job(job)
+
+        for result in (first, second):
+            assert not hasattr(result, "__dict__")
+            assert pickle.loads(pickle.dumps(result)) == result
+        assert first.cache_hits is second.cache_hits
 
     def test_apply_delta_records_history_through_the_lineage_layer(self):
         database, keys = _instance()

@@ -123,10 +123,10 @@ class TestUnionOfBoxes:
 def _union_instance(draw):
     dimension = draw(st.integers(min_value=1, max_value=5))
     sizes = tuple(draw(st.integers(min_value=1, max_value=3)) for _ in range(dimension))
-    box_count = draw(st.integers(min_value=0, max_value=5))
+    box_count = draw(st.integers(min_value=0, max_value=8))
     selectors = []
     for _ in range(box_count):
-        pin_count = draw(st.integers(min_value=0, max_value=min(2, dimension)))
+        pin_count = draw(st.integers(min_value=0, max_value=min(3, dimension)))
         coordinates = draw(
             st.lists(
                 st.integers(min_value=0, max_value=dimension - 1),
@@ -140,6 +140,9 @@ def _union_instance(draw):
             for coordinate in coordinates
         }
         selectors.append(Selector(pins))
+    if draw(st.booleans()):
+        # An empty domain no box pins: the space, and so the union, is empty.
+        sizes += (0,)
     return sizes, selectors
 
 
