@@ -18,6 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..errors import ConstraintError
 from .constraints import KeyValue, PrimaryKeySet
 from .database import Database
 from .delta import Delta
@@ -111,13 +112,11 @@ class BlockDecomposition:
         self._database = database
         self._keys = keys
         self._blocks: Tuple[Block, ...] = blocks
+        # Keyed by block, not by fact: a fact is found through its key
+        # value, so installing costs O(#blocks) and hashes no fact.
         self._index_by_key: Dict[KeyValue, int] = {
             block.key_value: index for index, block in enumerate(self._blocks)
         }
-        self._index_by_fact: Dict[Fact, int] = {}
-        for index, block in enumerate(self._blocks):
-            for item in block:
-                self._index_by_fact[item] = index
         # Pure functions of the frozen blocks, kept so that a warm job reads
         # them in O(1); this costs O(#blocks) on top of the pass above.
         self._sizes: Tuple[int, ...] = tuple([len(block.facts) for block in blocks])
@@ -240,11 +239,19 @@ class BlockDecomposition:
         return self._blocks[self.block_index_of(item)]
 
     def block_index_of(self, item: Fact) -> int:
-        """Return the 0-based index of the block containing ``item``."""
+        """Return the 0-based index of the block containing ``item``.
+
+        The block is found by ``item``'s key value, so a fact whose key
+        matches a block it is not in raises :class:`KeyError` like any other
+        fact outside the database.
+        """
         try:
-            return self._index_by_fact[item]
-        except KeyError as exc:
-            raise KeyError(f"fact {item} does not belong to the database") from exc
+            index = self._index_by_key.get(self._keys.key_value(item))
+        except ConstraintError:  # ``item`` is too short for its relation's key
+            index = None
+        if index is None or item not in self._blocks[index].facts:
+            raise KeyError(f"fact {item} does not belong to the database")
+        return index
 
     def block_for_key(self, key_value: KeyValue) -> Block:
         """Return the block with the given key value."""

@@ -128,6 +128,11 @@ class Database:
         # digest tokens, built on first use and spliced by apply_delta.
         # One attribute, so a racing reader never sees half of the pair.
         self._ordered: Optional[Tuple[List[Fact], List[bytes]]] = None
+        # (relation, position) -> constant -> the facts with that constant
+        # there, built by facts_with on first lookup and dropped on mutation.
+        self._positions: Dict[
+            Tuple[str, int], Dict[Constant, Tuple[Fact, ...]]
+        ] = {}
         for item in facts:
             self.add(item)
 
@@ -157,6 +162,8 @@ class Database:
         self._facts.add(new_fact)
         self._by_relation[new_fact.relation].add(new_fact)
         self._digest = None
+        if self._positions:
+            self._positions = {}
 
     def update(self, facts: Iterable[Fact]) -> None:
         """Add every fact from ``facts``."""
@@ -174,6 +181,8 @@ class Database:
             self._facts.discard(old_fact)
             self._by_relation[old_fact.relation].discard(old_fact)
             self._digest = None
+            if self._positions:
+                self._positions = {}
 
     # ------------------------------------------------------------------ #
     # snapshots: freezing, content addressing, deltas
@@ -295,6 +304,7 @@ class Database:
         clone._digest = None
         clone._hash = None
         clone._ordered = None
+        clone._positions = {}
         if self._frozen:
             clone._ordered = _splice(
                 *self._canonical(), really_deleted, really_inserted
@@ -330,15 +340,18 @@ class Database:
     def __getstate__(self) -> Dict[str, object]:
         # The cached set hash is salted per-process (PYTHONHASHSEED), so it
         # must not travel to worker processes; the content digest is stable
-        # and may.  The canonical lists are derived state that would double
-        # the payload; the receiver rebuilds them on first use.
+        # and may.  The canonical lists and the position maps are derived
+        # state that would double the payload; the receiver rebuilds them on
+        # first use.
         state = self.__dict__.copy()
         state["_hash"] = None
         del state["_ordered"]
+        del state["_positions"]
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self._ordered = None
+        self._positions = {}
         self.__dict__.update(state)
         if self._frozen:
             self._hash = hash(frozenset(self._facts))
@@ -368,6 +381,36 @@ class Database:
     def relation(self, name: str) -> FrozenSet[Fact]:
         """Return all facts of relation ``name`` (empty set if none)."""
         return frozenset(self._by_relation.get(name, frozenset()))
+
+    def facts_with(
+        self, relation: str, position: int, constant: Constant
+    ) -> Tuple[Fact, ...]:
+        """The facts of ``relation`` whose argument at ``position`` is ``constant``.
+
+        ``position`` is 0-based.  The first lookup at a ``(relation,
+        position)`` pair groups that relation's facts by their argument
+        there, in one pass; every later lookup at the pair is one dict read.
+        The maps are per database: :meth:`add` and :meth:`discard` drop
+        them, :meth:`apply_delta` does not carry them to the new snapshot,
+        and pickling leaves them out.  Constants that compare equal share a
+        bucket (``1``, ``1.0`` and ``True`` do; ``1`` and ``'1'`` do not).
+
+        >>> from repro.db import Database, fact
+        >>> db = Database([fact("R", 1, "a"), fact("R", 2, "a"), fact("R", 2, "b")])
+        >>> sorted(db.facts_with("R", 1, "a"))
+        [Fact(relation='R', arguments=(1, 'a')), Fact(relation='R', arguments=(2, 'a'))]
+        >>> db.facts_with("R", 0, 3), db.facts_with("S", 0, 1)
+        ((), ())
+        """
+        by_constant = self._positions.get((relation, position))
+        if by_constant is None:
+            grouped: Dict[Constant, List[Fact]] = defaultdict(list)
+            for item in self._by_relation.get(relation, ()):
+                if position < len(item.arguments):
+                    grouped[item.arguments[position]].append(item)
+            by_constant = {key: tuple(facts) for key, facts in grouped.items()}
+            self._positions[(relation, position)] = by_constant
+        return by_constant.get(constant, ())
 
     def relation_names(self) -> Tuple[str, ...]:
         """Return the names of relations that have at least one fact."""

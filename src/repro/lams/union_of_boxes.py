@@ -114,35 +114,46 @@ def count_union_inclusion_exclusion(
     of intersections is still exponential in the number of boxes.
     """
     sizes = tuple(domain_sizes)
-    boxes = _deduplicate(selectors)
+    return _include_exclude(_deduplicate(selectors), sizes, 0, {}, 1, _product(sizes))
 
+
+def _include_exclude(
+    boxes: Sequence[Selector],
+    sizes: Sequence[int],
+    start: int,
+    merged: Dict[int, int],
+    sign: int,
+    space: int,
+) -> int:
+    """The signed sizes of the intersections that add boxes from ``start`` on.
+
+    ``merged`` holds the current intersection's pins and ``space`` its
+    size; an intersection one box deeper counts with ``sign``, the next
+    level with ``-sign``.  A module-level function rather than a closure,
+    so a call leaves no reference cycle behind.
+    """
     total = 0
-
-    def recurse(start: int, merged: Dict[int, int], depth: int, space: int) -> None:
-        nonlocal total
-        sign = 1 if depth % 2 == 0 else -1
-        for index in range(start, len(boxes)):
-            candidate = boxes[index]
-            conflict = False
-            added: List[int] = []
-            pinned = 1
-            for coordinate, element in candidate.pins:
-                existing = merged.get(coordinate)
-                if existing is None:
-                    merged[coordinate] = element
-                    added.append(coordinate)
-                    pinned *= sizes[coordinate]
-                elif existing != element:
-                    conflict = True
-                    break
-            if not conflict:
-                intersection_size = space // pinned
-                total += sign * intersection_size
-                recurse(index + 1, merged, depth + 1, intersection_size)
-            for coordinate in added:
-                del merged[coordinate]
-
-    recurse(0, {}, 0, _product(sizes))
+    for index in range(start, len(boxes)):
+        conflict = False
+        added: List[int] = []
+        pinned = 1
+        for coordinate, element in boxes[index].pins:
+            existing = merged.get(coordinate)
+            if existing is None:
+                merged[coordinate] = element
+                added.append(coordinate)
+                pinned *= sizes[coordinate]
+            elif existing != element:
+                conflict = True
+                break
+        if not conflict:
+            intersection_size = space // pinned
+            total += sign * intersection_size
+            total += _include_exclude(
+                boxes, sizes, index + 1, merged, -sign, intersection_size
+            )
+        for coordinate in added:
+            del merged[coordinate]
     return total
 
 

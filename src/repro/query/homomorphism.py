@@ -11,13 +11,17 @@ The search is classic backtracking with two standard database heuristics:
 
 * atoms are matched most-constrained-first (fewest candidate facts given the
   current partial assignment), and
-* candidate facts for an atom are pre-filtered by relation and by the
-  constants/bound variables the atom already fixes.
+* candidate facts for an atom are looked up by the constants/bound variables
+  the atom already fixes: :meth:`~repro.db.database.Database.facts_with`
+  gives the facts with a given constant at a given argument position, and
+  the smallest such bucket is checked.  A lookup therefore costs the facts
+  it returns, not the size of the relation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set
 
 from ..db.database import Database
 from ..db.facts import Constant, Fact, canonical_order
@@ -49,12 +53,27 @@ def homomorphism_image(atoms: Sequence[Atom], assignment: Assignment) -> Set[Fac
 def _candidates(
     atom: Atom, database: Database, assignment: Assignment
 ) -> List[Fact]:
-    """Facts of the database that ``atom`` could map to under ``assignment``."""
-    matching: List[Fact] = []
-    for fact_ in database.relation(atom.relation):
-        if _matches(atom, fact_, assignment):
-            matching.append(fact_)
-    return matching
+    """Facts of the database that ``atom`` could map to under ``assignment``.
+
+    The facts checked are the smallest bucket among the positions that a
+    constant or an already-bound variable of ``atom`` fixes, or the whole
+    relation when no position is fixed.  :func:`_matches` re-checks every
+    position, so a bucket only narrows what is checked, never the answer.
+    """
+    pool: Optional[Collection[Fact]] = None
+    for position, term in enumerate(atom.terms):
+        if isinstance(term, Variable):
+            term = assignment.get(term)
+            if term is None:
+                continue
+        bucket = database.facts_with(atom.relation, position, term)
+        if not bucket:
+            return []
+        if pool is None or len(bucket) < len(pool):
+            pool = bucket
+    if pool is None:
+        pool = database.relation(atom.relation)
+    return [fact_ for fact_ in pool if _matches(atom, fact_, assignment)]
 
 
 def _matches(atom: Atom, fact_: Fact, assignment: Assignment) -> bool:
@@ -112,38 +131,49 @@ def find_homomorphisms(
     dict
         Complete assignments covering every variable of ``atoms`` plus the
         keys of ``base_assignment``.
+
+    The chosen atom's candidate facts are tried in canonical order, so the
+    sequence of homomorphisms is deterministic:
+
+    >>> from repro.db import Database, fact
+    >>> from repro.query import atom, var
+    >>> x, y = var("x"), var("y")
+    >>> db = Database([fact("E", "a", "b"), fact("E", "b", "c"), fact("E", "b", "a")])
+    >>> path = [atom("E", "a", x), atom("E", x, y)]
+    >>> [(h[x], h[y]) for h in find_homomorphisms(path, db)]
+    [('b', 'a'), ('b', 'c')]
     """
     base = dict(base_assignment or {})
     if not atoms:
         yield base
         return
+    yield from islice(_backtrack(list(atoms), database, base), limit)
 
-    produced = 0
 
-    def backtrack(remaining: List[Atom], assignment: Assignment) -> Iterator[Assignment]:
-        nonlocal produced
-        if limit is not None and produced >= limit:
-            return
-        if not remaining:
-            produced += 1
-            yield dict(assignment)
-            return
-        # Most-constrained-atom-first: pick the atom with the fewest candidates.
-        scored = [
-            (len(_candidates(atom, database, assignment)), index)
-            for index, atom in enumerate(remaining)
-        ]
-        count, chosen_index = min(scored)
-        if count == 0:
-            return
-        chosen = remaining[chosen_index]
-        rest = remaining[:chosen_index] + remaining[chosen_index + 1 :]
-        for fact_ in canonical_order(_candidates(chosen, database, assignment)):
-            yield from backtrack(rest, _extend(chosen, fact_, assignment))
-            if limit is not None and produced >= limit:
-                return
+def _backtrack(
+    remaining: List[Atom], database: Database, assignment: Assignment
+) -> Iterator[Assignment]:
+    """Every extension of ``assignment`` mapping ``remaining`` into ``database``.
 
-    yield from backtrack(list(atoms), base)
+    A module-level generator rather than a closure over its own name, so a
+    search leaves no reference cycle (and no database held by one) behind.
+    """
+    if not remaining:
+        yield dict(assignment)
+        return
+    # Most-constrained-atom-first: pick the atom with the fewest
+    # candidates (the first such atom on a tie).
+    chosen_index, candidates = 0, []
+    for index, atom in enumerate(remaining):
+        matching = _candidates(atom, database, assignment)
+        if not matching:
+            return
+        if index == 0 or len(matching) < len(candidates):
+            chosen_index, candidates = index, matching
+    chosen = remaining[chosen_index]
+    rest = remaining[:chosen_index] + remaining[chosen_index + 1 :]
+    for fact_ in canonical_order(candidates):
+        yield from _backtrack(rest, database, _extend(chosen, fact_, assignment))
 
 
 def exists_homomorphism(

@@ -563,7 +563,16 @@ checkpoint_every, checkpoint_policy:
         }
 
     def _on_done(self, future: "asyncio.Future[StreamResult]") -> None:
-        name, shard_id = self._outstanding.pop(future, (None, None))
+        """Settle a finished job's counters and free its queue slot, once.
+
+        Runs as the future's done callback, and earlier from
+        :meth:`results`, which settles a job before yielding it; whichever
+        call comes second finds the future gone and does nothing.
+        """
+        settled = self._outstanding.pop(future, None)
+        if settled is None:
+            return
+        name, shard_id = settled
         self.in_flight -= 1
         failed = future.cancelled() or future.exception() is not None
         elapsed = 0.0
@@ -696,10 +705,14 @@ checkpoint_every, checkpoint_policy:
             done: "Iterable[asyncio.Future[StreamResult]]",
         ) -> List[Union[StreamResult, StreamFailure]]:
             # Completion sets are unordered; settle by stream index so
-            # simultaneous completions are reported deterministically.
+            # simultaneous completions are reported deterministically.  A
+            # future can be done before its done callback has run, so the
+            # counters are settled here: a yielded job is no longer in
+            # flight.
             settled: List[Union[StreamResult, StreamFailure]] = []
             for future in sorted(done, key=pending.__getitem__):
                 index = pending.pop(future)
+                self._on_done(future)
                 error = (
                     asyncio.CancelledError()
                     if future.cancelled()

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.db import BlockDecomposition, Database, PrimaryKeySet, fact
+from repro.db import Block, BlockDecomposition, Database, Delta, PrimaryKeySet, fact
 
 
 class TestBlockDecompositionEmployee:
@@ -29,6 +29,51 @@ class TestBlockDecompositionEmployee:
         decomposition = BlockDecomposition(employee_db, employee_keys)
         with pytest.raises(KeyError):
             decomposition.block_index_of(fact("Employee", 9, "X", "Y"))
+
+    def test_block_of_a_foreign_fact_with_a_known_key(self, employee_db, employee_keys):
+        """Blocks are found by key value; a fact sharing a block's key but
+        not in the block is still foreign."""
+        decomposition = BlockDecomposition(employee_db, employee_keys)
+        stranger = fact("Employee", 2, "Eve", "HR")
+        assert decomposition.index_for_key(employee_keys.key_value(stranger)) == 1
+        with pytest.raises(KeyError):
+            decomposition.block_index_of(stranger)
+        with pytest.raises(KeyError):
+            decomposition.block_of(stranger)
+        with pytest.raises(KeyError):
+            decomposition.block_index_of(fact("Dept", 1))  # no such relation
+        # A fact too short to have a key value is foreign, not an error.
+        keyed_late = PrimaryKeySet.from_dict({"R": [2]})
+        short = BlockDecomposition(Database([fact("R", 1, "a")]), keyed_late)
+        with pytest.raises(KeyError):
+            short.block_index_of(fact("R", 1))
+        assert not short.is_repair(Database([fact("R", 1)]))
+
+    def test_one_fact_delta_touches_no_other_block(self, monkeypatch):
+        """A one-fact delta on 1,000 blocks rebuilds no per-fact index: the
+        untouched blocks are never iterated."""
+        keys = PrimaryKeySet.from_dict({"R": [1]})
+        database = Database(
+            [fact("R", i, tag) for i in range(1000) for tag in ("a", "b")]
+        ).freeze()
+        decomposition = BlockDecomposition(database, keys)
+        delta = Delta(inserted=[fact("R", 500, "c")])
+        iterated = []
+        real_iter = Block.__iter__
+
+        def counting_iter(block):
+            iterated.append(block.key_value)
+            return real_iter(block)
+
+        monkeypatch.setattr(Block, "__iter__", counting_iter)
+        updated = decomposition.apply_delta(delta)
+        assert len(iterated) <= 3
+        monkeypatch.undo()
+        rebuilt = BlockDecomposition(database.apply_delta(delta), keys)
+        assert updated.blocks == rebuilt.blocks
+        index = updated.block_index_of(fact("R", 500, "c"))
+        assert updated[index].key_value == ("R", (500,))
+        assert updated.block_sizes()[index] == 3
 
     def test_repair_from_choices_roundtrip(self, employee_db, employee_keys):
         decomposition = BlockDecomposition(employee_db, employee_keys)

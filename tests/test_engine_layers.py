@@ -156,9 +156,19 @@ class TestLayeredExecution:
         executor.run_job(job)
         first, second = executor.run_job(job), executor.run_job(job)
 
-        for result in (first, second):
+        anytime = executor.run_job(
+            CountJob(
+                database="live", query="EXISTS x, y. R(x, 'a', y)",
+                method="fpras", epsilon=0.5, delta=0.3, seed=1, anytime=True,
+            )
+        )
+        assert anytime.samples is not None and anytime.stop_reason is not None
+
+        for result in (first, second, anytime):
             assert not hasattr(result, "__dict__")
-            assert pickle.loads(pickle.dumps(result)) == result
+            restored = pickle.loads(pickle.dumps(result))
+            assert restored == result
+            assert type(restored) is type(result)
         assert first.cache_hits is second.cache_hits
 
     def test_apply_delta_records_history_through_the_lineage_layer(self):

@@ -1,5 +1,6 @@
 """Unit and property tests for selectors, boxes and union-of-boxes counting."""
 
+import gc
 import itertools
 import math
 
@@ -104,6 +105,21 @@ class TestUnionOfBoxes:
         assert count_union_inclusion_exclusion(sizes, selectors) == expected
         assert count_union_by_enumeration(sizes, selectors) == expected
         assert count_union_decomposed(sizes, selectors) == expected
+
+    def test_inclusion_exclusion_leaves_no_garbage_cycle(self):
+        """A call frees everything it allocates by reference counting, so
+        none of it waits for the cyclic collector."""
+        sizes = (3, 2, 4, 2)
+        selectors = [Selector({0: 1, 1: 0}), Selector({2: 3}), Selector({1: 1, 2: 0})]
+        expected = _brute_force_union(sizes, selectors)
+        gc.collect()
+        gc.disable()
+        try:
+            counts = {count_union_inclusion_exclusion(sizes, selectors) for _ in range(100)}
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert counts == {expected}
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -191,6 +191,53 @@ class TestResultsFailureModes:
         asyncio.run(run())
 
 
+class TestResultsSettleBeforeYield:
+    @pytest.mark.parametrize("on_error", ["raise", "yield"])
+    def test_a_yielded_job_is_no_longer_in_flight(self, monkeypatch, on_error):
+        """A job finishing in the loop iteration in which the stream's
+        zero-timeout wait wakes is done before its done callback has run.
+        Each shard call here returns a future that turns done exactly then
+        (two loop hops after dispatch), so the old code yielded every job
+        while ``in_flight`` and the shard and name loads still counted it.
+        """
+
+        async def run():
+            server = _employee_server(shards=1, queue_limit=4)
+            async with server:
+                answer = await server.submit(_job())
+                loop = asyncio.get_running_loop()
+
+                def late_call(shard, op, job, index):
+                    future = loop.create_future()
+
+                    def finish():
+                        if job.as_of is None:
+                            future.set_result(answer)
+                        else:
+                            future.set_exception(LineageError("unknown snapshot"))
+
+                    loop.call_soon(loop.call_soon, finish)
+                    return future
+
+                monkeypatch.setattr(Shard, "call", late_call)
+                jobs = [_job(), _job(), _job()]
+                if on_error == "yield":
+                    jobs[1] = _job(as_of=_UNKNOWN_AS_OF)
+                outcomes = []
+                async for outcome in server.results(jobs, on_error=on_error):
+                    outcomes.append(outcome)
+                    loads = server.load_snapshot()
+                    assert server.in_flight == 0
+                    assert [shard.in_flight for shard in loads.shards] == [0]
+                    assert [name.in_flight for name in loads.names] == [0]
+                assert len(outcomes) == 3
+                failures = [o for o in outcomes if isinstance(o, StreamFailure)]
+                assert len(failures) == (1 if on_error == "yield" else 0)
+                assert server.completed == 1 + 3 - len(failures)
+
+        asyncio.run(run())
+
+
 class TestStopCounterConsistency:
     def test_stop_settles_counters_before_returning(self):
         async def run():
