@@ -149,6 +149,16 @@ class ServerOverloadedError(ServerError):
     """
 
 
+class ShardLostError(ServerError):
+    """A shard's worker process died, so the shard cannot answer.
+
+    Every call pending on that shard when its worker was lost fails with
+    this error, and so does every later call.  Over HTTP it maps, like
+    every :class:`ServerError`, to ``503`` with a ``Retry-After`` hint:
+    the shard may come back.  Other shards keep serving.
+    """
+
+
 class RebalanceError(ServerError):
     """An elastic-sharding operation could not be performed.
 

@@ -5,8 +5,9 @@ This package is the service-shaped front of the repository (see
 
 :class:`AsyncServer`
     An asyncio front-end over N :class:`~repro.server.shards.Shard`
-    workers.  Each shard is a warm, single-worker process hosting its own
-    :class:`~repro.engine.SolverPool`; registered snapshots are partitioned
+    workers.  Each shard is one warm worker process hosting its own
+    :class:`~repro.engine.SolverPool`, reached over a socketpair per shard
+    with two calls on the wire; registered snapshots are partitioned
     across shards by snapshot token, jobs and deltas route to the owning
     shard, and a bounded queue applies explicit backpressure
     (``"wait"`` or ``"reject"``) instead of accumulating an unbounded

@@ -8,9 +8,10 @@ databases are served by independent worker processes.  ``AsyncServer``
 provides that shape on top of the pool:
 
 **Sharding** — each registered snapshot is owned by exactly one
-:class:`~repro.server.shards.Shard` (a warm single-worker process hosting
-its own pool).  Ownership is assigned at registration time from the
-snapshot token: the token digest picks a preferred shard, demoted to the
+:class:`~repro.server.shards.Shard` (a warm worker process hosting its
+own pool, reached over one socketpair with at most two calls on the
+wire).  Ownership is assigned at registration time from the snapshot
+token: the token digest picks a preferred shard, demoted to the
 least-loaded shard when the preferred one is already above the minimum
 load, so shard assignment is deterministic for a given registration order
 and databases spread evenly.  Jobs and deltas route to the owning shard —
@@ -215,7 +216,7 @@ checkpoint_every, checkpoint_policy:
             )
         if checkpoint_every is not None and checkpoint_every < 1:
             # Validate in the parent: a bad interval must fail here, not
-            # as a BrokenProcessPool from the shard worker's initializer.
+            # as a start-up error on every call to the shard workers.
             raise ServerError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
@@ -378,33 +379,33 @@ checkpoint_every, checkpoint_policy:
         """Drain and stop every shard (waits for in-flight jobs).
 
         Teardown is a two-phase drain: first every shard worker is shut
-        down (which waits for its queued jobs), then the loop is yielded
-        to until every completion callback has run.  Only then is the
-        semaphore dropped — a callback must never find ``_slots`` already
-        gone, or the ``in_flight``/``completed`` counters would still be
-        mid-flight when ``stop`` returns (and would never settle at all if
-        the event loop exits right after).
+        down (a stop frame queued behind its pending calls, answered once
+        they have run), then the loop is yielded to until every completion
+        callback has run.  Only then is the semaphore dropped — a callback
+        must never find ``_slots`` already gone, or the
+        ``in_flight``/``completed`` counters would still be mid-flight when
+        ``stop`` returns (and would never settle at all if the event loop
+        exits right after).
         """
         if not self._running:
             return
         self._running = False
         if self._rebalance_task is not None:
             # Stop the timer before draining shards: a rebalance firing
-            # mid-teardown would race the executors it moves names over.
+            # mid-teardown would race the shards it moves names over.
             self._rebalance_task.cancel()
             try:
                 await self._rebalance_task
             except asyncio.CancelledError:
                 pass
             self._rebalance_task = None
-        loop = asyncio.get_running_loop()
         outcomes = await asyncio.gather(
-            *(loop.run_in_executor(None, shard.stop) for shard in self._shards),
+            *(shard.shutdown() for shard in self._shards),
             return_exceptions=True,
         )
-        # Every inner future is done now (shutdown waited), but the
-        # asyncio-side completion callbacks are delivered via call_soon
-        # and may still be queued; yield until they have all run.
+        # Every shard future is done now (shutdown waited), but the
+        # completion callbacks are delivered via call_soon and may still
+        # be queued; yield until they have all run.
         while self._outstanding:
             await asyncio.sleep(0)
         self._slots = None
@@ -456,7 +457,7 @@ checkpoint_every, checkpoint_policy:
                     break
                 await gate.wait()
             shard = self._owner_of(name)
-            inner = shard.call(op, *args)
+            future = shard.call(op, *args)
         except BaseException:
             self._slots.release()
             raise
@@ -469,7 +470,6 @@ checkpoint_every, checkpoint_policy:
         ):
             load["dispatched"] += 1
             load["in_flight"] += 1
-        future = asyncio.wrap_future(inner)
         self._outstanding[future] = (name, shard.shard_id)
         future.add_done_callback(self._on_done)
         return future
@@ -483,9 +483,7 @@ checkpoint_every, checkpoint_policy:
         in order.  Probes and handoff steps bypass admission: they take no
         backpressure slot and open no load accounting.
         """
-        return asyncio.gather(
-            *(asyncio.wrap_future(shard.call(*call)) for call in calls)
-        )
+        return asyncio.gather(*(shard.call(*call) for call in calls))
 
     async def _on_owner(self, name: str, op: str, *args: Any) -> Any:
         """Run one probe ``op(name, *args)`` on the shard owning ``name``."""
@@ -885,8 +883,8 @@ checkpoint_every, checkpoint_policy:
 
         Every owned name is moved (full live handoff, ordering and warm
         caches preserved) to the survivor with the fewest names, then the
-        worker is shut down off-loop.  Removing the last shard — or an
-        unknown id — raises :class:`~repro.errors.RebalanceError`.
+        worker is shut down.  Removing the last shard — or an unknown id —
+        raises :class:`~repro.errors.RebalanceError`.
         """
         doomed = self._shard_by_id(shard)
         if len(self._shards) <= 1:
@@ -899,11 +897,7 @@ checkpoint_every, checkpoint_policy:
             moved.append(name)
         self._shards.remove(doomed)
         self._shard_load.pop(doomed.shard_id, None)
-        if self._running:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, doomed.stop)
-        else:
-            doomed.stop()
+        await doomed.shutdown()
         self._routing_version += 1
         return tuple(moved)
 

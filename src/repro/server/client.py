@@ -58,8 +58,9 @@ class ServeClient:
         ``max(retry_after_hint, backoff * 2**n)`` capped at
         ``backoff_cap`` seconds.
     timeout:
-        Per-request ceiling in seconds (covers writing the request and
-        reading the response head; stream chunks are covered per chunk).
+        Per-request ceiling in seconds: one deadline covers writing the
+        request and reading the response head (the chunks of a streamed
+        body have none).
 
     Usage::
 
@@ -152,10 +153,9 @@ class ServeClient:
                     method, target, f"{self.host}:{self.port}", body
                 )
                 self._writer.write(request)
-                await asyncio.wait_for(self._writer.drain(), self.timeout)
-                response = await asyncio.wait_for(
-                    wire.read_response(self._reader), self.timeout
-                )
+                async with asyncio.timeout(self.timeout):
+                    await self._writer.drain()
+                    response = await wire.read_response(self._reader)
             except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
                 # The connection died; nothing of this request survives on
                 # the server side that a retry would duplicate (see module

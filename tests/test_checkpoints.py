@@ -437,7 +437,7 @@ class TestCheckpointCLI:
         self, instance_files, capsys
     ):
         """A bad interval must be a clean exit 2 in the parent, never a
-        BrokenProcessPool surfaced from a shard worker's initializer."""
+        start-up error surfaced from every call to a shard worker."""
         from repro.errors import ServerError
         from repro.server import AsyncServer
 

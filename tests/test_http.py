@@ -26,6 +26,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,29 @@ class TestBackpressureOverTheWire:
                 assert front.unavailable == 1
 
         asyncio.run(run())
+
+
+class TestClientTimeout:
+    def test_a_server_that_never_answers_raises_within_the_timeout(self):
+        async def run():
+            async def silent(reader, writer):
+                await reader.read()  # reads the request, never answers
+                writer.close()
+
+            listener = await asyncio.start_server(silent, "127.0.0.1", 0)
+            host, port = listener.sockets[0].getsockname()[:2]
+            client = ServeClient(host, port, retries=0, timeout=0.2)
+            started = time.perf_counter()
+            try:
+                with pytest.raises(WireError, match="after 1 attempts"):
+                    await client.health()
+                return time.perf_counter() - started
+            finally:
+                await client.close()
+                listener.close()
+                await listener.wait_closed()
+
+        assert asyncio.run(run()) < 2.0
 
 
 class TestWireDiscipline:

@@ -20,21 +20,40 @@ every one of them fails:
   failed late registration raised, so a *second* ``stop`` re-raised the
   same stale error; and a failed registration behind an unfinished one
   was never surfaced at all.
+* A shard whose worker was killed failed its calls with a raw
+  ``BrokenProcessPool`` (HTTP 500).  Now its in-flight, queued and later
+  calls fail with :class:`ShardLostError` (HTTP 503 with
+  ``Retry-After``), its load counters settle, and other shards serve on.
+* A shard worker must not outlive its server: it exits when the server
+  process is killed, nothing survives SIGINT to ``repro serve --http``,
+  and a worker forked by a live ``add_shard`` keeps no client connection
+  open.
 """
 
 import asyncio
 import concurrent.futures
+import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.engine import CountJob
+from repro.db import database_to_json
+from repro.engine import CountJob, SolverPool
 from repro.errors import (
     EngineError,
     LineageError,
     ServerError,
     ServerOverloadedError,
+    ShardLostError,
 )
-from repro.server import AsyncServer, Shard, StreamFailure
+from repro.server import AsyncServer, HttpServer, ServeClient, Shard, StreamFailure
+from repro.server import wire
 from repro.workloads import employee_example
 
 _EMPLOYEE_QUERY = "EXISTS x, y, z . (Employee(1, x, y) AND Employee(2, z, y))"
@@ -311,3 +330,232 @@ class TestStaleRegistrationErrors:
         with pytest.raises(ServerError, match="bad keys"):
             shard._raise_failed_registrations()
         shard._raise_failed_registrations()  # consumed: no re-raise
+
+
+def _worker_pid(label: str) -> int:
+    """The pid in a ``shard-{id}:pid-{pid}`` worker label."""
+    return int(label.rsplit("pid-", 1)[1])
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` has exited (a zombie nobody reaped counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+    except OSError:  # pragma: no cover - no /proc on this platform
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        return False
+
+
+def _all_exit_within(pids, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while not all(_exited(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def _two_shard_server(**kwargs) -> AsyncServer:
+    """``emp`` and ``emp2`` on two shards (the second demoted to the idle one)."""
+    scenario = employee_example()
+    server = AsyncServer(shards=2, **kwargs)
+    for name in ("emp", "emp2"):
+        server.register(name, scenario.database, scenario.keys)
+    assert server.shard_of("emp") != server.shard_of("emp2")
+    return server
+
+
+class TestLostWorker:
+    def test_in_flight_queued_and_later_calls_raise_shard_lost(self, monkeypatch):
+        run_job = SolverPool.run_job
+
+        def slow_run_job(pool, job, index, **kwargs):
+            if job.label == "slow":
+                time.sleep(60)
+            return run_job(pool, job, index, **kwargs)
+
+        # Patched before start: the forked workers carry the patch.
+        monkeypatch.setattr(SolverPool, "run_job", slow_run_job)
+
+        async def run():
+            server = _two_shard_server(queue_limit=8)
+            async with server:
+                pid = _worker_pid((await server.submit(_job())).worker)
+                running = await server.dispatch(_job(label="slow"), 1)
+                queued = [await server.dispatch(_job(), index) for index in (2, 3)]
+                await asyncio.sleep(0.1)  # the slow job is running
+                os.kill(pid, signal.SIGKILL)
+                outcomes = await asyncio.gather(
+                    running, *queued, return_exceptions=True
+                )
+                with pytest.raises(ShardLostError, match=f"pid {pid}"):
+                    await server.submit(_job())
+                loads = server.load_snapshot()
+                settled = (
+                    server.in_flight,
+                    [shard.in_flight for shard in loads.shards],
+                    [name.in_flight for name in loads.names],
+                )
+                other = await server.submit(
+                    CountJob(database="emp2", query=_EMPLOYEE_QUERY)
+                )
+                return outcomes, settled, other
+
+        outcomes, settled, other = asyncio.run(asyncio.wait_for(run(), 60))
+        assert [type(outcome) for outcome in outcomes] == [ShardLostError] * 3
+        assert settled == (0, [0, 0], [0, 0])
+        assert (other.satisfying, other.total) == (2, 4)
+
+    def test_count_answers_503_with_retry_after(self):
+        document = {"database": "emp", "query": _EMPLOYEE_QUERY}
+
+        async def run():
+            server = _employee_server(shards=1)
+            async with server:
+                async with HttpServer(server) as front:
+                    pid = _worker_pid((await server.submit(_job())).worker)
+                    os.kill(pid, signal.SIGKILL)
+                    reader, writer = await asyncio.open_connection(
+                        front.host, front.port
+                    )
+                    address = f"{front.host}:{front.port}"
+                    try:
+                        responses = []
+                        for _ in range(2):  # the second must not hang
+                            writer.write(wire.render_request(
+                                "POST", "/count", address,
+                                json.dumps(document).encode(),
+                            ))
+                            await writer.drain()
+                            responses.append(await wire.read_response(reader))
+                    finally:
+                        writer.close()
+                        await writer.wait_closed()
+                    return responses
+
+        responses = asyncio.run(asyncio.wait_for(run(), 60))
+        for response in responses:
+            assert response.status == 503
+            assert wire.parse_retry_after(response.headers) is not None
+            assert response.json()["error"]["type"] == "ShardLostError"
+
+
+def _subprocess_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return env
+
+
+def _default_sigint() -> None:
+    """Undo an inherited ``SIG_IGN`` so SIGINT reaches the server."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+class TestWorkerHygiene:
+    def test_workers_exit_when_the_server_process_is_killed(self):
+        script = textwrap.dedent(f"""
+            import asyncio
+            from repro.engine import CountJob
+            from repro.server import AsyncServer
+            from repro.workloads import employee_example
+
+            async def main():
+                scenario = employee_example()
+                server = AsyncServer(shards=2)
+                for name in ("emp", "emp2"):
+                    server.register(name, scenario.database, scenario.keys)
+                await server.start()
+                for name in ("emp", "emp2"):
+                    job = CountJob(database=name, query={_EMPLOYEE_QUERY!r})
+                    print((await server.submit(job)).worker, flush=True)
+                await asyncio.sleep(3600)
+
+            asyncio.run(main())
+        """)
+        process = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            env=_subprocess_env(), text=True,
+        )
+        try:
+            pids = [_worker_pid(process.stdout.readline()) for _ in range(2)]
+        finally:
+            process.kill()
+            process.wait(timeout=30)
+            process.stdout.close()
+        assert len(set(pids)) == 2
+        # A worker reads end of file only once no other process holds the
+        # server's end of its pipe -- the other shard's worker included.
+        assert _all_exit_within(pids, 5.0)
+
+    def test_sigint_to_the_process_group_leaves_no_process(self, tmp_path):
+        scenario = employee_example()
+        document = database_to_json(scenario.database, scenario.keys)
+        jobfile = tmp_path / "databases.json"
+        jobfile.write_text(
+            json.dumps({"databases": {"emp": document, "emp2": document}})
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--jobs", str(jobfile),
+             "--shards", "2", "--http", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_subprocess_env(), text=True,
+            start_new_session=True, preexec_fn=_default_sigint,
+        )
+        try:
+            ready = json.loads(process.stdout.readline())["http"]
+
+            async def worker_labels():
+                async with ServeClient(ready["host"], ready["port"]) as client:
+                    return [
+                        (await client.count(
+                            {"database": name, "query": _EMPLOYEE_QUERY}
+                        ))["worker"]
+                        for name in ("emp", "emp2")
+                    ]
+
+            pids = [_worker_pid(label) for label in asyncio.run(worker_labels())]
+            os.killpg(process.pid, signal.SIGINT)
+            code = process.wait(timeout=30)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait(timeout=30)
+            process.stdout.close()
+        assert code == 0, process.stderr.read()
+        process.stderr.close()
+        assert len(set(pids)) == 2
+        assert _all_exit_within(pids, 5.0)
+
+    def test_a_live_add_shard_keeps_no_client_connection_open(self):
+        async def run():
+            server = _employee_server(shards=1)
+            async with server:
+                async with HttpServer(server) as front:
+                    address = f"{front.host}:{front.port}"
+                    reader, writer = await asyncio.open_connection(
+                        front.host, front.port
+                    )
+                    try:
+                        # The new worker forks while this connection is open.
+                        writer.write(wire.render_request(
+                            "POST", "/shards", address, b'{"action": "add"}'
+                        ))
+                        await writer.drain()
+                        added = await wire.read_response(reader)
+                        # A malformed request: the server answers 400, closes.
+                        writer.write(b"NONSENSE\r\n\r\n")
+                        await writer.drain()
+                        refused = await wire.read_response(reader)
+                        rest = await asyncio.wait_for(reader.read(), 5)
+                    finally:
+                        writer.close()
+                        await writer.wait_closed()
+                    return added.status, refused.status, rest
+
+        assert asyncio.run(run()) == (200, 400, b"")
