@@ -353,9 +353,13 @@ def _exited(pid: int) -> bool:
 
 
 def _all_exit_within(pids, seconds: float) -> bool:
+    """Whether every pid exits within ``seconds``; survivors are killed."""
     deadline = time.monotonic() + seconds
     while not all(_exited(pid) for pid in pids):
         if time.monotonic() > deadline:
+            for pid in pids:
+                if not _exited(pid):
+                    os.kill(pid, signal.SIGKILL)  # leave no orphan behind
             return False
         time.sleep(0.05)
     return True
