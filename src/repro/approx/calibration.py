@@ -30,6 +30,7 @@ the store can persist it as a ``*.cal`` entry (see
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -47,9 +48,13 @@ def conformal_quantile(scores: Sequence[float], alpha: float) -> float:
     ``1 − α`` level; the fallback is ``max(1.0, max(scores))`` — never
     tighter than the uncalibrated interval.
     """
+    return _sorted_quantile(sorted(scores), alpha)
+
+
+def _sorted_quantile(ordered: Sequence[float], alpha: float) -> float:
+    """:func:`conformal_quantile` of scores already sorted ascending."""
     if not 0.0 < alpha < 1.0:
         raise ApproximationError(f"alpha must lie in (0, 1), got {alpha}")
-    ordered = sorted(scores)
     if not ordered:
         raise ApproximationError(
             "cannot compute a conformal quantile from an empty "
@@ -62,6 +67,11 @@ def conformal_quantile(scores: Sequence[float], alpha: float) -> float:
     return ordered[index]
 
 
+def _score(estimate: float, uncertainty: float, exact: float) -> float:
+    """One observation's normalised residual ``|exact − estimate| / uncertainty``."""
+    return abs(exact - estimate) / uncertainty
+
+
 class ConformalCalibrator:
     """Held-out residual scores and the interval rescaling they induce.
 
@@ -69,13 +79,15 @@ class ConformalCalibrator:
     estimator's point estimate, the raw interval half-width it reported,
     and the exact count the batch engine later produced for the same
     job.  ``uncertainty`` must be positive — a zero half-width carries
-    no scale to normalise by.
+    no scale to normalise by.  The scores are also kept sorted as they
+    arrive, so :meth:`quantile` reads its index without sorting.
     """
 
     def __init__(
         self, observations: Iterable[Tuple[float, float, float]] = ()
     ) -> None:
         self._observations: List[Tuple[float, float, float]] = []
+        self._sorted_scores: List[float] = []
         for estimate, uncertainty, exact in observations:
             self.observe(estimate, uncertainty, exact)
 
@@ -89,9 +101,9 @@ class ConformalCalibrator:
                 f"uncertainty must be a positive finite half-width, "
                 f"got {uncertainty}"
             )
-        self._observations.append(
-            (float(estimate), float(uncertainty), float(exact))
-        )
+        triple = (float(estimate), float(uncertainty), float(exact))
+        self._observations.append(triple)
+        bisect.insort(self._sorted_scores, _score(*triple))
 
     def __len__(self) -> int:
         return len(self._observations)
@@ -102,10 +114,7 @@ class ConformalCalibrator:
 
     def scores(self) -> List[float]:
         """The normalised residuals ``|exact − estimate| / uncertainty``."""
-        return [
-            abs(exact - estimate) / uncertainty
-            for estimate, uncertainty, exact in self._observations
-        ]
+        return [_score(*triple) for triple in self._observations]
 
     # ------------------------------------------------------------------ #
     # calibration
@@ -116,7 +125,7 @@ class ConformalCalibrator:
 
     def quantile(self, alpha: float = 0.1) -> float:
         """The rescaling quantile ``q`` at miscoverage level ``alpha``."""
-        return conformal_quantile(self.scores(), alpha)
+        return _sorted_quantile(self._sorted_scores, alpha)
 
     def calibrate(
         self, estimate: float, uncertainty: float, alpha: float = 0.1

@@ -43,9 +43,14 @@ from ..repairs.certificates import certificate_selectors, iter_certificates
 from ..repairs.counting import PreparedCertificates
 from .anytime import SamplingPlan
 from .fpras import FPRASResult, sample_size
-from .sample import point_in_union
+from .sample import index_drawer, point_in_union
 
 __all__ = ["CQAFprasResult", "CQAFpras"]
+
+
+def _miss() -> bool:
+    """The draw of a plan whose union is empty: a miss, using no randomness."""
+    return False
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,9 @@ class CQAFpras:
         The returned :class:`~repro.approx.anytime.SamplingPlan` draws
         from the supplied ``rng`` in exactly the order the fixed
         ``estimate()`` loop would, so running it to its full budget is
-        bit-identical to ``estimate()`` with the same seed.
+        bit-identical to ``estimate()`` with the same seed.  With selector
+        membership and no certificate, every draw misses without touching
+        ``rng``; the result still reports the prescribed sample count.
 
         ``prepared`` optionally supplies a cached
         :class:`~repro.repairs.counting.PreparedCertificates` for the
@@ -169,6 +176,7 @@ class CQAFpras:
             samples = self._max_samples
             capped = True
 
+        choose = index_drawer(rng, block_sizes)
         if self._membership == "selectors":
             if prepared is not None:
                 selectors = prepared.selectors
@@ -176,19 +184,21 @@ class CQAFpras:
                 certificates = list(iter_certificates(database, self._keys, ucq))
                 selectors = certificate_selectors(certificates, decomposition, self._keys)
 
-            def hit(choices) -> bool:
-                return point_in_union(choices, selectors)
+            if selectors:
+
+                def draw() -> bool:
+                    return point_in_union(choose(), selectors)
+
+            else:
+                # No certificate, so no repair entails the query: every
+                # draw misses, and none needs the generator.
+                draw = _miss
 
         else:
             bound_query = ucq_to_query(ucq)
 
-            def hit(choices) -> bool:
-                repair = decomposition.repair_from_choices(choices)
-                return holds(bound_query, repair)
-
-        def draw() -> bool:
-            choices = tuple(rng.randrange(size) for size in block_sizes)
-            return hit(choices)
+            def draw() -> bool:
+                return holds(bound_query, decomposition.repair_from_choices(choose()))
 
         def estimate_of(successes: int, samples_done: int) -> float:
             frequency = successes / samples_done if samples_done else 0.0

@@ -37,6 +37,7 @@ from ..errors import ApproximationError
 from ..lams.compactor import Compactor
 from ..lams.selectors import Selector
 from .anytime import SamplingPlan
+from .sample import index_drawer
 
 __all__ = [
     "KarpLubyResult",
@@ -143,17 +144,15 @@ def karp_luby_plan(
         running += size
         cumulative.append(running)
 
+    pick = index_drawer(rng, (total_mass,))
+    inside = index_drawer(rng, sizes)
+    pins = [selector.as_dict() for selector in boxes]
+
     def draw() -> bool:
-        # Pick the box.
-        target = rng.randrange(total_mass)
+        # Pick the box, then a uniform point inside it.
+        (target,) = pick()
         box_index = _bisect(cumulative, target)
-        selector = boxes[box_index]
-        pinned = selector.as_dict()
-        # Pick a uniform point inside the box.
-        point = tuple(
-            pinned[index] if index in pinned else rng.randrange(size)
-            for index, size in enumerate(sizes)
-        )
+        point = inside(pins[box_index])
         # Indicator: is the chosen box the first one containing the point?
         return _first_containing(boxes, point) == box_index
 

@@ -39,8 +39,9 @@ Either way a job is never silently dropped: it is finished, or the caller
 holds an exception saying it was not.
 
 **Elasticity** — ownership is not fixed for life.  The server keeps
-per-shard and per-name load accounting (dispatched, completed, in-flight,
-queue depth, cumulative busy seconds), and :meth:`AsyncServer.move`
+per-name load accounting (dispatched, completed, in-flight, cumulative
+busy seconds); a shard's load is the sum over the names it owns, so a
+moved name takes its load along.  :meth:`AsyncServer.move`
 transfers a name to another shard mid-serve: new dispatches of the name
 park on a gate, its in-flight jobs drain on the old shard (FIFO, so
 bit-identical ordering survives), the *worker-side* head and lineage are
@@ -250,13 +251,12 @@ checkpoint_every, checkpoint_policy:
         self._queue_limit = queue_limit
         self._policy = policy
         self._slots: Optional[asyncio.Semaphore] = None
-        #: future -> (database name, shard id) of every in-flight job.
-        self._outstanding: Dict[
-            "asyncio.Future[StreamResult]", Tuple[str, int]
-        ] = {}
+        #: future -> database name of every in-flight job.
+        self._outstanding: Dict["asyncio.Future[StreamResult]", str] = {}
         #: name -> gate event while that name is mid-handoff.
         self._moving: Dict[str, asyncio.Event] = {}
-        self._shard_load: Dict[int, Dict[str, float]] = {}
+        #: name -> its lifetime load; a shard's load is the sum over the
+        #: names it owns, so a moved name takes its load along.
         self._name_load: Dict[str, Dict[str, float]] = {}
         self._rebalance_interval = rebalance_interval
         self._rebalancer = GreedyRebalancer(max_imbalance=max_imbalance)
@@ -464,13 +464,10 @@ checkpoint_every, checkpoint_policy:
         self.submitted += 1
         self.in_flight += 1
         self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-        for load in (
-            self._shard_load.setdefault(shard.shard_id, self._new_load()),
-            self._name_load.setdefault(name, self._new_load()),
-        ):
-            load["dispatched"] += 1
-            load["in_flight"] += 1
-        self._outstanding[future] = (name, shard.shard_id)
+        load = self._name_load.setdefault(name, self._new_load())
+        load["dispatched"] += 1
+        load["in_flight"] += 1
+        self._outstanding[future] = name
         future.add_done_callback(self._on_done)
         return future
 
@@ -567,10 +564,9 @@ checkpoint_every, checkpoint_policy:
         :meth:`results`, which settles a job before yielding it; whichever
         call comes second finds the future gone and does nothing.
         """
-        settled = self._outstanding.pop(future, None)
-        if settled is None:
+        name = self._outstanding.pop(future, None)
+        if name is None:
             return
-        name, shard_id = settled
         self.in_flight -= 1
         failed = future.cancelled() or future.exception() is not None
         elapsed = 0.0
@@ -586,16 +582,11 @@ checkpoint_every, checkpoint_policy:
                 )
             else:
                 elapsed = float(getattr(result, "elapsed", 0.0) or 0.0)
-        loads = []
-        if shard_id in self._shard_load:
-            loads.append(self._shard_load[shard_id])
-        if name in self._name_load:
-            loads.append(self._name_load[name])
-        for load in loads:
-            load["in_flight"] -= 1
-            if not failed:
-                load["completed"] += 1
-                load["busy_time"] += elapsed
+        load = self._name_load[name]
+        load["in_flight"] -= 1
+        if not failed:
+            load["completed"] += 1
+            load["busy_time"] += elapsed
         if self._slots is not None:
             self._slots.release()
 
@@ -759,11 +750,17 @@ checkpoint_every, checkpoint_policy:
 
         The input to a :class:`~repro.server.rebalance.RebalancePolicy`;
         also serves ``GET /shards``.  Pure parent-side state — no worker
-        round-trip, callable whether or not the server is running.
+        round-trip, callable whether or not the server is running.  A
+        shard's counters are the sums over the names it owns now, so
+        after a :meth:`move` the load is where the name is.
         """
         names = []
+        totals = {shard.shard_id: self._new_load() for shard in self._shards}
         for name, shard in self._owner.items():
             counters = self._name_load.get(name) or self._new_load()
+            total = totals[shard.shard_id]
+            for field, value in counters.items():
+                total[field] += value
             names.append(
                 NameLoad(
                     name=name,
@@ -776,7 +773,7 @@ checkpoint_every, checkpoint_policy:
             )
         shards = []
         for shard in self._shards:
-            counters = self._shard_load.get(shard.shard_id) or self._new_load()
+            counters = totals[shard.shard_id]
             in_flight = int(counters["in_flight"])
             shards.append(
                 ShardLoad(
@@ -838,7 +835,7 @@ checkpoint_every, checkpoint_policy:
         try:
             pending = [
                 future
-                for future, (owner, _) in self._outstanding.items()
+                for future, owner in self._outstanding.items()
                 if owner == name
             ]
             if pending:
@@ -896,7 +893,6 @@ checkpoint_every, checkpoint_policy:
             await self.move(name, target.shard_id)
             moved.append(name)
         self._shards.remove(doomed)
-        self._shard_load.pop(doomed.shard_id, None)
         await doomed.shutdown()
         self._routing_version += 1
         return tuple(moved)

@@ -16,7 +16,10 @@ retried on the same budget: every request in this protocol is either
 read-only or idempotent at the engine level (a delta is applied by the
 shard in submission order; a torn connection before the *request* was
 written costs nothing, and the client only auto-reconnects when the
-failure strikes before a byte of the request hit the socket).
+failure strikes before a byte of the request hit the socket).  A request
+that outlives ``timeout`` is never resent, since the server may still be
+running it: the client closes the connection and raises
+:class:`~repro.errors.WireError`.
 
 **Streaming result iterators.**  :meth:`stream` sends a JSON-lines job
 stack and yields each result line as it arrives off the chunked response
@@ -60,7 +63,8 @@ class ServeClient:
     timeout:
         Per-request ceiling in seconds: one deadline covers writing the
         request and reading the response head (the chunks of a streamed
-        body have none).
+        body have none).  A request past it raises
+        :class:`~repro.errors.WireError` and is not retried.
 
     Usage::
 
@@ -138,7 +142,8 @@ class ServeClient:
         """Send one request; return the (response, reader) pair.
 
         Applies the retry budget to 429/503 answers and to connection
-        failures that strike before the request was written.  The reader
+        failures.  A request that times out is never resent: the
+        connection is closed and :class:`WireError` raised.  The reader
         is returned alongside the response so :meth:`_lines` can keep
         consuming a chunked body.
         """
@@ -153,9 +158,19 @@ class ServeClient:
                     method, target, f"{self.host}:{self.port}", body
                 )
                 self._writer.write(request)
-                async with asyncio.timeout(self.timeout):
-                    await self._writer.drain()
-                    response = await wire.read_response(self._reader)
+                try:
+                    async with asyncio.timeout(self.timeout):
+                        await self._writer.drain()
+                        response = await wire.read_response(self._reader)
+                except TimeoutError as exc:
+                    # The request is out and may still run on the server:
+                    # resending it could apply a delta twice.
+                    await self.close()
+                    raise WireError(
+                        f"no answer from {self.host}:{self.port} within "
+                        f"{self.timeout} s after {attempt + 1} attempts; "
+                        f"a request that timed out is not resent"
+                    ) from exc
             except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
                 # The connection died; nothing of this request survives on
                 # the server side that a retry would duplicate (see module

@@ -37,6 +37,13 @@ Design notes
   misses) and atomic publication (a crash mid-write leaves the old entry
   or none, never a torn one).  A damaged store can make counts *cold*,
   never *wrong*.
+* **Write-once publication** — a ``.sel``, ``.dec`` or ``.snp`` name
+  hashes every input of its payload, so an entry already present holds
+  what a store would write: storing it again writes nothing and only
+  refreshes its recency.  A damaged entry is deleted when a load finds
+  it, and the next store publishes it afresh.  The ``.cal`` table of a
+  ``(token, method)`` grows with every observation, so
+  :class:`CalibrationDiskCache` replaces its entry on each store.
 * **Garbage collection** — :meth:`collect_garbage` bounds the store by
   entry *age* and entry *count*.  Loading an entry refreshes its recency,
   so count-bounded eviction drops the least-recently-*used* entries.
@@ -108,6 +115,10 @@ class ContentAddressedStore:
 
     _MAGIC: bytes = b"????"
     _SUFFIX: str = ".bin"
+    #: Whether an entry's name fixes its payload (see "Write-once
+    #: publication" in the module docstring); False for kinds whose
+    #: payload under one name changes.
+    _WRITE_ONCE: bool = True
 
     def __init__(
         self,
@@ -201,9 +212,14 @@ class ContentAddressedStore:
     def _store_entry(self, name: str, payload_value: object) -> bool:
         """Atomically persist a payload; returns False on I/O failure.
 
+        A write-once kind whose entry is present only refreshes its
+        recency, so count-bounded GC keeps what is still being stored.
         Persistence failures are deliberately non-fatal: the cache is an
         accelerator, and a full disk must not fail a counting job.
         """
+        if self._WRITE_ONCE and self._backend.exists(name):
+            self._backend.set_mtime(name, self._clock())
+            return True
         try:
             payload = pickle.dumps(payload_value, protocol=pickle.HIGHEST_PROTOCOL)
         except pickle.PicklingError:
@@ -364,7 +380,9 @@ class ContentAddressedStore:
         """Lifetime counters plus the current entry count.
 
         ``hits`` counts successful loads (the key existed, decoded and
-        validated), ``misses`` everything else, ``corrupt`` the subset of
+        validated), ``misses`` everything else, ``stores`` the entries
+        written (a store of a write-once entry already present writes
+        nothing and is not counted), ``corrupt`` the subset of
         misses caused by undecodable entries, ``gc_evictions`` the
         entries removed by :meth:`collect_garbage`/:meth:`collect_bytes`,
         and ``bytes`` the current stored footprint of this entry kind.
@@ -532,7 +550,8 @@ class CalibrationDiskCache(ContentAddressedStore):
     Because the entry name leads with the token prefix, calibration
     tables of live (registered) snapshots are pinned through the same
     :meth:`set_pinned_tokens` mechanism as every other entry kind — GC
-    exempt while referenced.
+    exempt while referenced.  Unlike the other kinds, a table grows
+    under one name, so each store replaces the entry.
 
     Example — a table stored once survives a restart:
 
@@ -549,6 +568,7 @@ class CalibrationDiskCache(ContentAddressedStore):
 
     _MAGIC = b"RCAL"
     _SUFFIX = ".cal"
+    _WRITE_ONCE = False
 
     def _validate_payload(self, value: object) -> bool:
         return isinstance(value, dict) and isinstance(

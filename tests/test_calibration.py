@@ -112,6 +112,29 @@ class TestConformalCalibrator:
         with pytest.raises(ApproximationError, match="observations"):
             ConformalCalibrator.from_payload({"observations": "nope"})
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_incremental_quantile_matches_a_fresh_sort(self, seed):
+        # The calibrator keeps its scores sorted as they arrive; every
+        # quantile must equal the one sorted from scratch, through the
+        # n < 1/alpha fallback and past it, with ties and zero residuals.
+        rng = random.Random(seed)
+        calibrator = ConformalCalibrator()
+        arrived = []
+        for _ in range(rng.randint(1, 60)):
+            estimate = float(rng.choice([rng.uniform(0, 50), rng.randint(0, 5)]))
+            exact = estimate if rng.random() < 0.2 else float(rng.randint(0, 50))
+            triple = (estimate, rng.choice([0.5, 1.0, rng.uniform(0.1, 9.0)]), exact)
+            calibrator.observe(*triple)
+            arrived.append(triple)
+            for alpha in (0.05, 0.1, 0.3):
+                assert calibrator.quantile(alpha) == conformal_quantile(
+                    calibrator.scores(), alpha
+                )
+        assert calibrator.observations == tuple(arrived)
+        assert calibrator.to_payload() == {
+            "observations": [list(triple) for triple in arrived]
+        }
+
 
 def _karp_luby_pairs(count: int, seed: int):
     """(estimate, raw half-width, exact) triples from real estimator runs.

@@ -411,6 +411,54 @@ class TestClientTimeout:
 
         assert asyncio.run(run()) < 2.0
 
+    def test_a_request_that_timed_out_is_not_resent(self):
+        # A listener that answers every request after 0.5 s: a client
+        # with a 0.2 s deadline and retries to spare must give up on the
+        # first request instead of sending the delta again.
+        async def run():
+            received = []
+
+            async def slow(reader, writer):
+                try:
+                    while True:
+                        head = await reader.readuntil(b"\r\n\r\n")
+                        received.append(head.split(b"\r\n", 1)[0])
+                        length = 0
+                        for line in head.split(b"\r\n"):
+                            name, _, value = line.partition(b":")
+                            if name.strip().lower() == b"content-length":
+                                length = int(value)
+                        await reader.readexactly(length)
+                        await asyncio.sleep(0.5)
+                        writer.write(
+                            b"HTTP/1.1 200 OK\r\nContent-Type: application/json"
+                            b"\r\nContent-Length: 2\r\n\r\n{}"
+                        )
+                        await writer.drain()
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    pass
+                finally:
+                    writer.close()
+
+            listener = await asyncio.start_server(slow, "127.0.0.1", 0)
+            host, port = listener.sockets[0].getsockname()[:2]
+            client = ServeClient(host, port, retries=2, backoff=0.01, timeout=0.2)
+            try:
+                with pytest.raises(WireError, match="not resent"):
+                    await client.update(
+                        {"update": "emp", "insert": [], "delete": []}
+                    )
+                await asyncio.sleep(1.0)  # room for any resent request
+                return received, client.retries_used
+            finally:
+                await client.close()
+                listener.close()
+                await listener.wait_closed()
+
+        received, retries_used = asyncio.run(run())
+        assert received == [b"POST /update HTTP/1.1"]
+        assert retries_used == 0
+
 
 class TestWireDiscipline:
     def test_malformed_request_line_gets_400_and_close(self):

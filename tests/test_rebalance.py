@@ -18,7 +18,10 @@ What is pinned here:
   shard answers without a single selector or decomposition
   recomputation;
 * misuse is loud: unknown shards and conflicting moves raise
-  :class:`RebalanceError`, removing the last shard refuses.
+  :class:`RebalanceError`, removing the last shard refuses;
+* a moved name takes its load along, live or stopped, so a shard's
+  counters are always the sums over the names it owns and a rebalancing
+  loop settles instead of draining every name onto one shard.
 """
 
 import asyncio
@@ -296,6 +299,72 @@ class TestMove:
                 assert snapshot.uses_busy_time()
 
         asyncio.run(run())
+
+
+def _assert_shard_load_is_its_names_load(snapshot):
+    for shard in snapshot.shards:
+        owned = [name for name in snapshot.names if name.shard == shard.shard]
+        assert shard.busy_time == pytest.approx(sum(n.busy_time for n in owned))
+        assert shard.dispatched == sum(n.dispatched for n in owned)
+        assert shard.completed == sum(n.completed for n in owned)
+
+
+class TestLoadFollowsAMovedName:
+    def test_rebalancing_a_skewed_load_settles(self):
+        # Every name starts on shard 0 and only shard 0 has worked.  A
+        # moved name takes its load along, so the first move narrows the
+        # gap and the loop stops with both shards serving; if the load
+        # stayed behind, shard 0 would look hot until it owned nothing.
+        policy = GreedyRebalancer(max_imbalance=1.2)
+
+        async def run():
+            scenario = employee_example()
+            server = AsyncServer(shards=2)
+            jobs = {"hot": 12, "warm-a": 3, "warm-b": 3}
+            for name in jobs:
+                server.register(name, scenario.database, scenario.keys)
+                await server.move(name, 0)
+            async with server:
+                index = 0
+                for name, count in jobs.items():
+                    for _ in range(count):
+                        job = CountJob(database=name, query=_EMPLOYEE_QUERY)
+                        await server.submit(job, index)
+                        index += 1
+                executed = []
+                for _ in range(len(jobs)):
+                    moves = await server.rebalance(policy)
+                    if not moves:
+                        break
+                    executed.extend(moves)
+                assert executed
+                assert await server.rebalance(policy) == ()
+                snapshot = server.load_snapshot()
+            return snapshot
+
+        snapshot = asyncio.run(run())
+        _assert_shard_load_is_its_names_load(snapshot)
+        assert all(shard.names for shard in snapshot.shards)
+
+    def test_a_move_on_a_stopped_server_carries_the_load(self):
+        async def run():
+            scenario = employee_example()
+            server = AsyncServer(shards=2)
+            server.register("emp", scenario.database, scenario.keys)
+            async with server:
+                for index in range(3):
+                    job = CountJob(database="emp", query=_EMPLOYEE_QUERY)
+                    await server.submit(job, index)
+            source = server.shard_of("emp")
+            target = next(s for s in server.shard_ids if s != source)
+            assert await server.move("emp", target)
+            return server.load_snapshot(), source, target
+
+        snapshot, source, target = asyncio.run(run())
+        _assert_shard_load_is_its_names_load(snapshot)
+        loads = {shard.shard: shard for shard in snapshot.shards}
+        assert loads[source].completed == 0 and loads[source].busy_time == 0.0
+        assert loads[target].completed == 3 and loads[target].busy_time > 0
 
 
 class TestElasticFleet:
